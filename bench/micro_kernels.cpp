@@ -12,6 +12,7 @@
 // statistically meaningful timings.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <memory>
@@ -238,13 +239,10 @@ void BM_SimdAxpy(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdAxpy);
 
-// Row extraction with and without the hot-rule expansion cache: the cold
-// variant re-walks the grammar per row, the hot one streams cached
-// terminal expansions (assignment-style path; see
-// GcMatrix::ConfigureRuleCache).
-void ExtractRows(benchmark::State& state, u64 cache_bytes) {
+// Row extraction: re-walks the grammar per row (assignment-style path,
+// see GcMatrix::ExtractRow).
+void BM_ExtractRowCold(benchmark::State& state) {
   GcMatrix gc = GcMatrix::FromCsrv(CensusCsrv(), {GcFormat::kRe32, 12, 0});
-  gc.ConfigureRuleCache(cache_bytes);
   std::size_t r = 0;
   for (auto _ : state) {
     std::vector<double> row = gc.ExtractRow(r);
@@ -254,16 +252,8 @@ void ExtractRows(benchmark::State& state, u64 cache_bytes) {
   state.counters["rows_per_second"] =
       benchmark::Counter(static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);
-  RuleCacheStats cache = gc.rule_cache_stats();
-  state.counters["cache_hits"] =
-      benchmark::Counter(static_cast<double>(cache.hits));
-}
-void BM_ExtractRowCold(benchmark::State& s) { ExtractRows(s, 0); }
-void BM_ExtractRowHotCache(benchmark::State& s) {
-  ExtractRows(s, 4ull << 20);
 }
 BENCHMARK(BM_ExtractRowCold)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ExtractRowHotCache)->Unit(benchmark::kMicrosecond);
 
 void BM_CsmCompute(benchmark::State& state) {
   DenseMatrix m = GenerateDatasetRows(DatasetByName("Covtype"), 512);
@@ -346,14 +336,21 @@ BENCHMARK(BM_ShardedMvmRightPooled)->Unit(benchmark::kMicrosecond);
 // free by construction. bytes_per_second is over the snapshot file, i.e.
 // cold shards brought into service per second per byte of store.
 const std::string& ShardSnapshotPath() {
-  static const std::string path = [] {
-    std::string p = (std::filesystem::temp_directory_path() /
-                     "gcm_bench_shard.gcsnap")
-                        .string();
-    AnyMatrix::Build(CensusMatrix(), "csr").Save(p);
-    return p;
-  }();
-  return path;
+  // The pid keeps concurrent bench processes off each other's file; the
+  // file is removed when the process exits.
+  struct SnapshotFile {
+    std::string path = (std::filesystem::temp_directory_path() /
+                        ("gcm_bench_shard_" + std::to_string(getpid()) +
+                         ".gcsnap"))
+                           .string();
+    SnapshotFile() { AnyMatrix::Build(CensusMatrix(), "csr").Save(path); }
+    ~SnapshotFile() {
+      std::error_code ignored;
+      std::filesystem::remove(path, ignored);
+    }
+  };
+  static const SnapshotFile file;
+  return file.path;
 }
 
 void ShardLoad(benchmark::State& state, bool mapped) {

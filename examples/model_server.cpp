@@ -4,7 +4,7 @@
 //   $ ./model_server [--dataset Mnist2m] [--rows 2000] [--batches 50]
 //                    [--spec gcm:re_ans] [--snapshot model.gcsnap]
 //                    [--store store_dir] [--shards 8]
-//                    [--max-resident-shards 4] [--port 0] [--serve]
+//                    [--max-resident-bytes 1048576] [--port 0] [--serve]
 //                    [--batching true] [--eager]
 //
 // The paper's introduction motivates compression for ML model/data storage
@@ -217,9 +217,9 @@ int main(int argc, char** argv) {
               "sharded store directory: open its manifest when present, "
               "else partition the dataset into it (overrides --snapshot)");
   cli.AddFlag("shards", "8", "shard count when partitioning a new store");
-  cli.AddFlag("max-resident-shards", "0",
-              "evict least-recently-used shards down to this residency "
-              "after every batch (0 = unlimited)");
+  cli.AddFlag("max-resident-bytes", "0",
+              "evict least-recently-used shards until their resident bytes "
+              "fit this budget after every batch (0 = unlimited)");
   cli.AddFlag("port", "0", "TCP port to serve on (0 = ephemeral)");
   cli.AddFlag("serve", "false",
               "stay up for external clients instead of running the "
@@ -254,9 +254,8 @@ int main(int argc, char** argv) {
   cli.AddFlag("max-attempts", "3",
               "coordinator attempts per range across replicas and retries");
   cli.AddFlag("stats", "false",
-              "after the demo, run a full dense audit of the served matrix "
-              "and print the kernel's aggregated runtime counters (rule "
-              "cache hits/misses/bytes; see the gcm rule_cache spec key)");
+              "after the demo, print each shard's mapped and resident "
+              "bytes");
   if (!cli.Parse(argc, argv)) return 0;
 
   std::string snapshot_path = cli.GetString("snapshot");
@@ -422,8 +421,8 @@ int main(int argc, char** argv) {
   config.batching = cli.GetBool("batching");
   config.batch_max = static_cast<std::size_t>(cli.GetInt("batch-max"));
   config.batch_window_ms = cli.GetDouble("batch-window-ms");
-  config.max_resident_shards =
-      static_cast<std::size_t>(cli.GetInt("max-resident-shards"));
+  config.max_resident_bytes =
+      static_cast<u64>(cli.GetInt("max-resident-bytes"));
   Server server(served, config);
   server.Start();
   std::printf("serving on 127.0.0.1:%u%s\n",
@@ -449,58 +448,35 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.max_batch),
               static_cast<unsigned long long>(stats.batched_requests),
               static_cast<unsigned long long>(stats.shard_evictions));
-  if (sharded != nullptr && config.max_resident_shards > 0) {
-    std::printf("residency cap %zu: %zu shards resident at shutdown\n",
-                config.max_resident_shards, sharded->LoadedShardCount());
+  if (sharded != nullptr && config.max_resident_bytes > 0) {
+    std::printf("residency cap %s: %zu shards resident at shutdown\n",
+                FormatBytes(config.max_resident_bytes).c_str(),
+                sharded->LoadedShardCount());
   }
   server.Stop();
 
-  if (cli.GetBool("stats")) {
-    // Kernel-level audit: a full ToDense() drives the grammar-expansion
-    // path (the hot-rule cache's workload when the spec configures one,
-    // e.g. --spec "gcm:re_ans?rule_cache=1MiB"), then the engine's
-    // aggregated counters show what the cache did across every block.
-    DenseMatrix audit = served.ToDense();
-    double audit_sum = 0.0;
-    for (std::size_t r = 0; r < audit.rows(); ++r) {
-      for (std::size_t c = 0; c < audit.cols(); ++c) {
-        audit_sum += audit.At(r, c);
-      }
+  if (cli.GetBool("stats") && sharded != nullptr) {
+    // Page-granular residency: a mapped shard is charged only the pages
+    // the OS holds (mincore), so "resident" can sit well below "mapped"
+    // when requests touched a fraction of the payload -- the zero-copy
+    // snapshot path's whole point.
+    std::printf("shard residency (mapped = live mmap span, resident = "
+                "pages in RAM):\n");
+    u64 total_mapped = 0;
+    u64 total_resident = 0;
+    for (std::size_t i = 0; i < sharded->shard_count(); ++i) {
+      ShardedMatrix::ShardResidency info = sharded->ShardResidencyInfo(i);
+      total_mapped += info.mapped_bytes;
+      total_resident += info.resident_bytes;
+      std::printf("  shard %zu: %s mapped, %s resident%s\n", i,
+                  FormatBytes(info.mapped_bytes).c_str(),
+                  FormatBytes(info.resident_bytes).c_str(),
+                  info.resident ? "" : " (evicted)");
     }
-    KernelStats ks = served.Stats();
-    std::printf("kernel stats after dense audit (checksum %.3f):\n",
-                audit_sum);
-    std::printf("  rule cache: %llu hits, %llu misses, %llu evictions\n",
-                static_cast<unsigned long long>(ks.rule_cache_hits),
-                static_cast<unsigned long long>(ks.rule_cache_misses),
-                static_cast<unsigned long long>(ks.rule_cache_evictions));
-    std::printf("  rule cache: %llu entries, %s resident of %s capacity\n",
-                static_cast<unsigned long long>(ks.rule_cache_entries),
-                FormatBytes(ks.rule_cache_bytes_resident).c_str(),
-                FormatBytes(ks.rule_cache_capacity_bytes).c_str());
-    if (sharded != nullptr) {
-      // Page-granular residency: a mapped shard is charged only the pages
-      // the OS holds (mincore), so "resident" can sit well below "mapped"
-      // when requests touched a fraction of the payload -- the zero-copy
-      // snapshot path's whole point.
-      std::printf("  shard residency (mapped = live mmap span, resident = "
-                  "pages in RAM):\n");
-      u64 total_mapped = 0;
-      u64 total_resident = 0;
-      for (std::size_t i = 0; i < sharded->shard_count(); ++i) {
-        ShardedMatrix::ShardResidency info = sharded->ShardResidencyInfo(i);
-        total_mapped += info.mapped_bytes;
-        total_resident += info.resident_bytes;
-        std::printf("    shard %zu: %s mapped, %s resident%s\n", i,
-                    FormatBytes(info.mapped_bytes).c_str(),
-                    FormatBytes(info.resident_bytes).c_str(),
-                    info.resident ? "" : " (evicted)");
-      }
-      std::printf("    total: %s mapped, %s resident across %zu shards\n",
-                  FormatBytes(total_mapped).c_str(),
-                  FormatBytes(total_resident).c_str(),
-                  sharded->shard_count());
-    }
+    std::printf("  total: %s mapped, %s resident across %zu shards\n",
+                FormatBytes(total_mapped).c_str(),
+                FormatBytes(total_resident).c_str(),
+                sharded->shard_count());
   }
 
   std::printf("serving correctness: max diff vs local oracle = %.2e\n",

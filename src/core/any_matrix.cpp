@@ -90,20 +90,11 @@ std::string BackendTag(const M& m) {
   } else if constexpr (std::is_same_v<M, CsrvMatrix>) {
     return "csrv";
   } else if constexpr (std::is_same_v<M, GcMatrix>) {
-    std::string tag = std::string("gcm:") + FormatName(m.format());
-    // Key order matches MatrixSpec::ToString (alphabetical), so a spec
-    // string round-trips through Build + FormatTag unchanged.
-    if (m.rule_cache_capacity() > 0) {
-      tag += "?rule_cache=" + std::to_string(m.rule_cache_capacity());
-    }
-    return tag;
+    return std::string("gcm:") + FormatName(m.format());
   } else if constexpr (std::is_same_v<M, BlockedGcMatrix>) {
     std::string tag = "gcm:";
     tag += m.block_count() > 0 ? FormatName(m.block(0).format()) : "re_32";
     tag += "?blocks=" + std::to_string(m.block_count());
-    if (m.rule_cache_capacity() > 0) {
-      tag += "&rule_cache=" + std::to_string(m.rule_cache_capacity());
-    }
     return tag;
   } else {
     static_assert(std::is_same_v<M, ClaMatrix>, "unmapped backend type");
@@ -168,13 +159,6 @@ class KernelAdapter final : public IMatrixKernel {
       return *matrix_;
     } else {
       return matrix_->ToDense();
-    }
-  }
-
-  void CollectStats(KernelStats* stats) const override {
-    // Backends without runtime counters keep the no-op default.
-    if constexpr (requires { matrix_->CollectStats(stats); }) {
-      matrix_->CollectStats(stats);
     }
   }
 
@@ -276,16 +260,11 @@ AnyMatrix BuildGcmSpec(const DenseMatrix& dense, const MatrixSpec& spec,
                        const BuildContext& ctx) {
   GcBuildOptions options = GcOptionsFromSpec(spec);
   std::size_t blocks = spec.GetSize("blocks", 1);
-  u64 rule_cache = spec.GetBytes("rule_cache", 0);
   if (blocks > 1) {
-    BlockedGcMatrix blocked =
-        BlockedGcMatrix::Build(dense, blocks, options, {}, ctx);
-    blocked.ConfigureRuleCache(rule_cache);
-    return AnyMatrix::Wrap(std::move(blocked));
+    return AnyMatrix::Wrap(
+        BlockedGcMatrix::Build(dense, blocks, options, {}, ctx));
   }
-  GcMatrix gcm = GcMatrix::FromDense(dense, options);
-  gcm.ConfigureRuleCache(rule_cache);
-  return AnyMatrix::Wrap(std::move(gcm));
+  return AnyMatrix::Wrap(GcMatrix::FromDense(dense, options));
 }
 
 AnyMatrix BuildClaSpec(const DenseMatrix& dense, const MatrixSpec& spec,
@@ -307,18 +286,6 @@ AnyMatrix BuildAutoSpec(const DenseMatrix& dense, const MatrixSpec& spec,
   constraints.blocks = spec.GetSize("blocks", 1);
   constraints.sample_rows =
       spec.GetSize("sample_rows", constraints.sample_rows);
-  auto probe = spec.params.find("probe");
-  if (probe != spec.params.end()) {
-    if (probe->second == "modeled") {
-      constraints.speed_probe = SpeedProbe::kModeled;
-    } else if (probe->second == "measured") {
-      constraints.speed_probe = SpeedProbe::kMeasured;
-    } else {
-      throw std::invalid_argument(
-          "spec key \"probe\": expected measured|modeled, got \"" +
-          probe->second + '"');
-    }
-  }
   return AdviseFormat(dense, constraints, nullptr, ctx);
 }
 
@@ -342,20 +309,12 @@ AnyMatrix LoadCsrvSnapshot(const SnapshotReader& in, const MatrixSpec&,
   return LoadPayloadSection<CsrvMatrix>(in);
 }
 
-AnyMatrix LoadGcmSnapshot(const SnapshotReader& in, const MatrixSpec& spec,
+AnyMatrix LoadGcmSnapshot(const SnapshotReader& in, const MatrixSpec&,
                           const std::string&) {
-  // The rule cache is runtime configuration, not payload: the snapshot
-  // stores only the capacity inside its spec tag, and the cache itself is
-  // rebuilt (re-warmed) here, so snapshot bytes stay cache-agnostic.
-  u64 rule_cache = spec.GetBytes("rule_cache", 0);
   if (in.HasSection(PayloadSectionName<BlockedGcMatrix>())) {
-    BlockedGcMatrix blocked = LoadPayloadMatrix<BlockedGcMatrix>(in);
-    blocked.ConfigureRuleCache(rule_cache);
-    return AnyMatrix::Wrap(std::move(blocked));
+    return LoadPayloadSection<BlockedGcMatrix>(in);
   }
-  GcMatrix gcm = LoadPayloadMatrix<GcMatrix>(in);
-  gcm.ConfigureRuleCache(rule_cache);
-  return AnyMatrix::Wrap(std::move(gcm));
+  return LoadPayloadSection<GcMatrix>(in);
 }
 
 AnyMatrix LoadClaSnapshot(const SnapshotReader& in, const MatrixSpec&,
@@ -371,7 +330,7 @@ const std::vector<SpecFamily>& Registry() {
       {"csrv", {}, {}, &BuildCsrvSpec, &LoadCsrvSnapshot},
       {"gcm",
        {"csrv", "re_32", "re_iv", "re_ans"},
-       {"blocks", "fold_bits", "max_rules", "rule_cache"},
+       {"blocks", "fold_bits", "max_rules"},
        &BuildGcmSpec,
        &LoadGcmSnapshot},
       {"cla",
@@ -390,7 +349,7 @@ const std::vector<SpecFamily>& Registry() {
         "workers"},
        &BuildClusterFromSpec,
        &LoadClusterFromSnapshot},
-      {"auto", {}, {"budget", "blocks", "sample_rows", "probe"},
+      {"auto", {}, {"budget", "blocks", "sample_rows"},
        &BuildAutoSpec, nullptr},
   };
   return registry;
@@ -520,6 +479,13 @@ std::string MatrixSpec::ToString() const {
   return out;
 }
 
+std::string StoredSpecTag(const std::string& tag) {
+  if (tag.find("rule_cache=") == std::string::npos) return tag;
+  MatrixSpec spec = MatrixSpec::Parse(tag);
+  spec.params.erase("rule_cache");
+  return spec.ToString();
+}
+
 namespace {
 
 /// Parses the leading digit run of `value`; returns the count of consumed
@@ -630,18 +596,13 @@ AnyMatrix AnyMatrix::Build(std::size_t rows, std::size_t cols,
   if (spec.family == "gcm") {
     GcBuildOptions options = GcOptionsFromSpec(spec);
     std::size_t blocks = spec.GetSize("blocks", 1);
-    u64 rule_cache = spec.GetBytes("rule_cache", 0);
     if (blocks > 1) {
-      BlockedGcMatrix blocked = BlockedGcMatrix::FromCsrv(
+      return Wrap(BlockedGcMatrix::FromCsrv(
           CsrvFromTriplets(rows, cols, std::move(entries)), blocks, options,
-          ctx);
-      blocked.ConfigureRuleCache(rule_cache);
-      return Wrap(std::move(blocked));
+          ctx));
     }
-    GcMatrix gcm =
-        GcMatrix::FromTriplets(rows, cols, std::move(entries), options);
-    gcm.ConfigureRuleCache(rule_cache);
-    return Wrap(std::move(gcm));
+    return Wrap(
+        GcMatrix::FromTriplets(rows, cols, std::move(entries), options));
   }
   if (spec.family == "sharded") {
     // Buckets triplets per row range; each bucket reuses the inner spec's
@@ -693,8 +654,6 @@ AnyMatrix AnyMatrix::Ref(const ClaMatrix& matrix) { return MakeRef(matrix); }
 // Snapshot persistence
 // ---------------------------------------------------------------------------
 
-void IMatrixKernel::CollectStats(KernelStats*) const {}
-
 void IMatrixKernel::SaveSections(SnapshotWriter*) const {
   throw Error("backend \"" + FormatTag() +
               "\" does not implement snapshot serialization");
@@ -724,7 +683,7 @@ namespace {
 AnyMatrix LoadSnapshotImpl(SnapshotReader in,
                            const std::string& origin_path) {
   in.EnableZeroCopy();
-  MatrixSpec spec = MatrixSpec::Parse(in.spec());
+  MatrixSpec spec = MatrixSpec::Parse(StoredSpecTag(in.spec()));
   const SpecFamily& family = ValidateSpec(spec);
   if (family.load == nullptr) {
     throw std::invalid_argument("snapshot spec \"" + in.spec() +
@@ -913,11 +872,5 @@ DenseMatrix AnyMatrix::MultiplyLeftMulti(const DenseMatrix& x,
 }
 
 DenseMatrix AnyMatrix::ToDense() const { return kernel().ToDense(); }
-
-KernelStats AnyMatrix::Stats() const {
-  KernelStats stats;
-  kernel().CollectStats(&stats);
-  return stats;
-}
 
 }  // namespace gcm

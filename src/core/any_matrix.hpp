@@ -57,7 +57,6 @@
 #include <vector>
 
 #include "core/build_context.hpp"
-#include "core/kernel_stats.hpp"
 #include "util/common.hpp"
 
 namespace gcm {
@@ -123,10 +122,6 @@ class IMatrixKernel {
   /// Materializes the dense equivalent (testing / conversion).
   virtual DenseMatrix ToDense() const = 0;
 
-  /// Adds the backend's runtime counters (rule-cache hits/misses/bytes)
-  /// into `stats`; containers forward to their children. Default: no-op.
-  virtual void CollectStats(KernelStats* stats) const;
-
   /// Writes the backend's snapshot sections (the engine adds the "meta"
   /// section and the container header itself). The default rejects the
   /// operation, so external kernels opt in explicitly.
@@ -149,6 +144,12 @@ struct MatrixSpec {
   /// Accepts raw byte counts and the suffixes KB/MB/GB/KiB/MiB/GiB/B.
   u64 GetBytes(const std::string& key, u64 fallback) const;
 };
+
+/// A spec tag as read back from a stored file (snapshot header or store
+/// manifest entry). Files written while the gcm family took a
+/// `rule_cache=` key still carry it; the key never changed the payload,
+/// so the load path drops it. AnyMatrix::Build rejects it as unknown.
+std::string StoredSpecTag(const std::string& tag);
 
 /// Value wrapper around a type-erased kernel. Cheap to copy (kernels are
 /// immutable and shared), safe to hand across threads for const use.
@@ -274,10 +275,6 @@ class AnyMatrix {
                                 const MulContext& ctx = {}) const;
 
   DenseMatrix ToDense() const;
-
-  /// Aggregated runtime counters of the whole kernel tree (one call on a
-  /// sharded-over-blocked-gcm matrix sums every resident block's cache).
-  KernelStats Stats() const;
 
   const IMatrixKernel& kernel() const;
 

@@ -192,20 +192,6 @@ BlockedGcMatrix BlockedGcMatrix::DeserializeFrom(ByteReader* reader) {
   return out;
 }
 
-void BlockedGcMatrix::ConfigureRuleCache(u64 capacity_bytes) {
-  rule_cache_capacity_ = capacity_bytes;
-  if (blocks_.empty()) return;
-  const u64 per_block = capacity_bytes / blocks_.size();
-  const u64 remainder = capacity_bytes % blocks_.size();
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    blocks_[b].ConfigureRuleCache(per_block + (b == 0 ? remainder : 0));
-  }
-}
-
-void BlockedGcMatrix::CollectStats(KernelStats* stats) const {
-  for (const GcMatrix& block : blocks_) block.CollectStats(stats);
-}
-
 DenseMatrix BlockedGcMatrix::ToDense() const {
   DenseMatrix dense(rows_, cols_);
   for (std::size_t b = 0; b < blocks_.size(); ++b) {

@@ -66,18 +66,6 @@ class BlockedGcMatrix {
 
   DenseMatrix ToDense() const;
 
-  /// Splits `capacity_bytes` of hot-rule expansion cache across the
-  /// blocks (even shares, remainder to block 0, so the per-block budgets
-  /// sum exactly to the configured total); 0 disables. See
-  /// GcMatrix::ConfigureRuleCache for semantics.
-  void ConfigureRuleCache(u64 capacity_bytes);
-
-  /// Total configured cache budget across all blocks (0 = disabled).
-  u64 rule_cache_capacity() const { return rule_cache_capacity_; }
-
-  /// Sums every block's counters into `stats`.
-  void CollectStats(KernelStats* stats) const;
-
   /// Snapshot payload: dims, block layout, the shared dictionary once, and
   /// every block's grammar payload. DeserializeFrom validates the layout
   /// (contiguous blocks covering all rows, matching widths).
@@ -89,7 +77,6 @@ class BlockedGcMatrix {
   std::size_t cols_ = 0;
   std::vector<std::size_t> row_offsets_;  ///< first row of each block
   std::vector<GcMatrix> blocks_;
-  u64 rule_cache_capacity_ = 0;  ///< total across blocks; 0 = disabled
 };
 
 }  // namespace gcm

@@ -6,7 +6,6 @@
 #include "core/any_matrix.hpp"
 #include "core/blocked_matrix.hpp"
 #include "util/format.hpp"
-#include "util/timer.hpp"
 
 namespace gcm {
 namespace {
@@ -14,8 +13,8 @@ namespace {
 constexpr GcFormat kFormats[] = {GcFormat::kCsrv, GcFormat::kRe32,
                                  GcFormat::kReIv, GcFormat::kReAns};
 
-/// Deterministic stand-in for the timed probe: one right+left pair costs
-/// ~two passes over the final sequence plus the W-array recurrences, with
+/// Modeled cost of one right+left pair on `compressed`: ~two passes over
+/// the final sequence plus the W-array recurrences, with
 /// a per-symbol weight reflecting each format's decode path (csrv streams
 /// raw u32s; re_32 reads fixed 32-bit rule pairs; re_iv unpacks bit-packed
 /// intervals; re_ans renormalizes an entropy coder per symbol). The
@@ -90,20 +89,8 @@ AdvisorReport AdviseFormat(const DenseMatrix& dense,
     estimate.predicted_peak_bytes =
         estimate.predicted_bytes + w_bytes + vector_bytes;
 
-    // Speed: time one right+left pair on the sample and scale by rows --
-    // or, under the modeled probe, score the representation directly so
-    // the ranking is reproducible.
-    double sample_seconds;
-    if (constraints.speed_probe == SpeedProbe::kModeled) {
-      sample_seconds = ModeledPairSeconds(compressed, format);
-    } else {
-      std::vector<double> x(dense.cols(), 1.0);
-      Timer timer;
-      std::vector<double> y = compressed.MultiplyRight(x);
-      std::vector<double> z = compressed.MultiplyLeft(y);
-      (void)z;
-      sample_seconds = timer.Seconds();
-    }
+    // Speed: score one right+left pair on the sample and scale by rows.
+    double sample_seconds = ModeledPairSeconds(compressed, format);
     // Parallel blocks divide the wall clock by at most the block count
     // (callers on single-core machines should pass blocks = 1).
     estimate.predicted_seconds_per_iteration =

@@ -10,10 +10,13 @@
 // extrapolates the compressed size and the per-iteration multiplication
 // cost to the full row count, and returns the fastest format whose
 // predicted peak working set (compressed matrix + per-thread W arrays +
-// vectors) fits the caller's memory budget. Speed prediction uses the
-// measured per-symbol cost of each format's kernel on the sample itself,
-// so the ranking adapts to the data (e.g. csrv can beat re_ans on
-// incompressible matrices in both space and time).
+// vectors) fits the caller's memory budget. Speed prediction is a
+// deterministic cost model over each format's compressed sample (final
+// sequence length, rule count, per-format symbol weights), so the ranking
+// adapts to the data (e.g. csrv can beat re_ans on incompressible
+// matrices in both space and time) and the same input yields the same
+// ranking on every run and every machine. The absolute seconds are
+// nominal; only the ratios between formats carry meaning.
 #pragma once
 
 #include <cstddef>
@@ -26,20 +29,6 @@
 
 namespace gcm {
 
-/// How the advisor estimates each format's per-iteration speed.
-enum class SpeedProbe {
-  /// Wall-clock a right+left multiplication pair on the compressed
-  /// sample. Adapts to the actual hardware, but inherits its noise: on a
-  /// loaded machine close rankings can flip between runs.
-  kMeasured,
-  /// Deterministic cost model over the compressed representation (final
-  /// sequence length, rule count, per-format symbol weights). The same
-  /// input yields the same ranking on every run and every machine -- what
-  /// tests and reproducible tooling should use. The absolute seconds are
-  /// nominal; only the ratios between formats carry meaning.
-  kModeled,
-};
-
 struct AdvisorConstraints {
   /// Peak working-set budget in bytes (0 = unlimited).
   u64 memory_budget_bytes = 0;
@@ -47,9 +36,6 @@ struct AdvisorConstraints {
   std::size_t blocks = 1;
   /// Rows sampled for estimation (clamped to the matrix height).
   std::size_t sample_rows = 2048;
-  /// Speed estimation: measured wall clock (default) or deterministic
-  /// model ("auto?...&probe=modeled" from the spec grammar).
-  SpeedProbe speed_probe = SpeedProbe::kMeasured;
 };
 
 struct FormatEstimate {

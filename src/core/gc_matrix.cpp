@@ -1,7 +1,6 @@
 #include "core/gc_matrix.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/check.hpp"
 #include "util/enum_names.hpp"
@@ -626,34 +625,6 @@ DenseMatrix GcMatrix::MultiplyLeftMulti(const DenseMatrix& x,
   return out;
 }
 
-void GcMatrix::ExpandRuleTerminals(u32 rule, std::vector<u32>* out) const {
-  out->clear();
-  RuleCache* cache = rule_cache_.get();
-  std::vector<u32> stack;
-  stack.push_back(RuleRight(rule));
-  stack.push_back(RuleLeft(rule));
-  while (!stack.empty()) {
-    u32 top = stack.back();
-    stack.pop_back();
-    if (top < alphabet_size_) {
-      out->push_back(top);
-      continue;
-    }
-    u32 sub = top - alphabet_size_;
-    GCM_DCHECK_BOUNDS(sub, rule_count_);
-    if (cache != nullptr) {
-      // Cached sub-rules short-circuit whole subtrees; during warm-up the
-      // hotter children are admitted first, so parents mostly splice.
-      if (RuleCache::ExpansionPtr hit = cache->Lookup(sub)) {
-        out->insert(out->end(), hit->begin(), hit->end());
-        continue;
-      }
-    }
-    stack.push_back(RuleRight(sub));
-    stack.push_back(RuleLeft(sub));
-  }
-}
-
 template <typename F>
 void GcMatrix::ExpandSymbol(u32 symbol, std::vector<u32>* stack,
                             F&& emit) const {
@@ -661,10 +632,8 @@ void GcMatrix::ExpandSymbol(u32 symbol, std::vector<u32>* stack,
     emit(symbol);
     return;
   }
-  RuleCache* cache = rule_cache_.get();
   stack->clear();
   stack->push_back(symbol);
-  std::vector<u32> scratch;
   while (!stack->empty()) {
     u32 top = stack->back();
     stack->pop_back();
@@ -674,20 +643,6 @@ void GcMatrix::ExpandSymbol(u32 symbol, std::vector<u32>* stack,
     }
     u32 rule = top - alphabet_size_;
     GCM_DCHECK_BOUNDS(rule, rule_count_);
-    if (cache != nullptr) {
-      if (RuleCache::ExpansionPtr hit = cache->Lookup(rule)) {
-        // The shared_ptr keeps the expansion alive while it streams even
-        // if a concurrent insert evicts the entry.
-        for (u32 t : *hit) emit(t);
-        continue;
-      }
-      // Demand-fill the miss: expand once, stream it, keep it for the
-      // next descent (evicting least-recently-used colder rules).
-      ExpandRuleTerminals(rule, &scratch);
-      for (u32 t : scratch) emit(t);
-      cache->Insert(rule, std::move(scratch));
-      continue;
-    }
     stack->push_back(RuleRight(rule));
     stack->push_back(RuleLeft(rule));
   }
@@ -751,63 +706,6 @@ DenseMatrix GcMatrix::ToDense() const {
     });
   });
   return dense;
-}
-
-void GcMatrix::ConfigureRuleCache(u64 capacity_bytes) {
-  rule_cache_capacity_ = capacity_bytes;
-  rule_cache_.reset();
-  if (capacity_bytes == 0 || rule_count_ == 0) return;
-
-  // Expansion-count heuristic: occurrences in C, plus -- walking R
-  // backward, so every referencing parent is finished first -- each
-  // rule's count pushed into the rules it references. occ[j] is then the
-  // number of times rule j is expanded by one full traversal of the
-  // matrix, the paper's "few rules dominate all expansions" quantity.
-  std::vector<u64> occ(rule_count_, 0);
-  ForEachFinalSymbol([&](u32 symbol) {
-    if (symbol >= alphabet_size_) ++occ[symbol - alphabet_size_];
-  });
-  for (std::size_t j = rule_count_; j-- > 0;) {
-    if (occ[j] == 0) continue;
-    for (u32 symbol : {RuleLeft(j), RuleRight(j)}) {
-      if (symbol >= alphabet_size_) occ[symbol - alphabet_size_] += occ[j];
-    }
-  }
-
-  std::vector<u32> order(rule_count_);
-  std::iota(order.begin(), order.end(), 0u);
-  // Hottest first; ties resolve to smaller rule ids, i.e. children before
-  // the parents that reference them (rule sides point strictly backward).
-  std::stable_sort(order.begin(), order.end(),
-                   [&](u32 a, u32 b) { return occ[a] > occ[b]; });
-
-  // Warm the cache hottest-first. The cache must be live before the
-  // expansion loop so each warm rule splices the already-admitted hotter
-  // children instead of re-descending them. No evictions while warming:
-  // a colder rule must not displace a hotter one admitted a moment ago.
-  rule_cache_ = std::make_shared<RuleCache>(capacity_bytes);
-  std::vector<u32> scratch;
-  for (u32 rule : order) {
-    if (occ[rule] < 2) break;  // expanded at most once -- cannot pay off
-    ExpandRuleTerminals(rule, &scratch);
-    if (!rule_cache_->TryInsertWithoutEviction(rule, std::move(scratch))) {
-      break;  // budget full
-    }
-  }
-}
-
-RuleCacheStats GcMatrix::rule_cache_stats() const {
-  return rule_cache_ != nullptr ? rule_cache_->Stats() : RuleCacheStats{};
-}
-
-void GcMatrix::CollectStats(KernelStats* stats) const {
-  RuleCacheStats rc = rule_cache_stats();
-  stats->rule_cache_hits += rc.hits;
-  stats->rule_cache_misses += rc.misses;
-  stats->rule_cache_bytes_resident += rc.bytes_resident;
-  stats->rule_cache_capacity_bytes += rc.capacity_bytes;
-  stats->rule_cache_entries += rc.entries;
-  stats->rule_cache_evictions += rc.evictions;
 }
 
 void GcMatrix::PrefetchPayload() const {

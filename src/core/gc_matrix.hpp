@@ -25,8 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "core/kernel_stats.hpp"
-#include "core/rule_cache.hpp"
 #include "encoding/int_vector.hpp"
 #include "encoding/rans.hpp"
 #include "grammar/repair.hpp"
@@ -157,29 +155,6 @@ class GcMatrix {
   /// Reconstructs the dense block.
   DenseMatrix ToDense() const;
 
-  /// Enables (capacity > 0) or disables (capacity == 0) the hot-rule
-  /// expansion cache and eagerly warms it: rules are ranked by expansion
-  /// count (C occurrences plus counts propagated down through R -- the
-  /// paper's observation that a few rules dominate all expansions) and
-  /// admitted in that order until the byte budget is full. Beyond the
-  /// warm set, ExtractRow/ToDense/DecompressSequence demand-fill misses
-  /// with LRU eviction. Only those assignment-style paths consult the
-  /// cache; the multiply kernels fold rule weights in tree order, and
-  /// replaying a flat expansion there would reassociate the sums.
-  /// Not thread-safe against concurrent kernels (configure before
-  /// sharing the matrix, like the other setup calls); the cache itself
-  /// is internally synchronized once configured.
-  void ConfigureRuleCache(u64 capacity_bytes);
-
-  /// Configured cache budget in bytes (0 = disabled).
-  u64 rule_cache_capacity() const { return rule_cache_capacity_; }
-
-  /// Counters of the expansion cache; all-zero when disabled.
-  RuleCacheStats rule_cache_stats() const;
-
-  /// Adds this block's counters into `stats` (engine CollectStats hook).
-  void CollectStats(KernelStats* stats) const;
-
   /// Prefetch hint covering the head of the C/R payload arrays; the
   /// blocked container calls it for block b+1 while block b computes so
   /// the next payload is in cache when its scan starts.
@@ -231,15 +206,10 @@ class GcMatrix {
   u32 RuleLeft(std::size_t i) const;
   u32 RuleRight(std::size_t i) const;
 
-  /// Emits the terminal expansion of `symbol` left to right via emit(t),
-  /// consulting and demand-filling the rule cache when configured.
+  /// Emits the terminal expansion of `symbol` left to right via emit(t).
   /// `stack` is caller-provided scratch so C scans reuse one allocation.
   template <typename F>
   void ExpandSymbol(u32 symbol, std::vector<u32>* stack, F&& emit) const;
-
-  /// Appends the terminal expansion of rule `rule` to `out` (clearing it
-  /// first), reusing cached sub-rule expansions when available.
-  void ExpandRuleTerminals(u32 rule, std::vector<u32>* out) const;
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -257,11 +227,6 @@ class GcMatrix {
   RansStream c_ans_;           // kReAns
   ArrayRef<u32> r_plain_;      // kRe32 (flattened pairs)
   IntVector r_packed_;         // kReIv, kReAns
-
-  // Hot-rule expansion cache (see ConfigureRuleCache). shared_ptr so
-  // copies of the matrix share one cache, matching the shared dictionary.
-  u64 rule_cache_capacity_ = 0;
-  std::shared_ptr<RuleCache> rule_cache_;
 };
 
 }  // namespace gcm

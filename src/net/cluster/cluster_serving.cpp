@@ -77,10 +77,6 @@ void LoopbackCluster::MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
 
 DenseMatrix LoopbackCluster::ToDense() const { return local_.ToDense(); }
 
-void LoopbackCluster::CollectStats(KernelStats* stats) const {
-  local_.kernel().CollectStats(stats);
-}
-
 void LoopbackCluster::SaveSections(SnapshotWriter* out) const {
   // The snapshot is the *sharded* payload: self-contained bytes, no worker
   // addresses baked in. Loading re-serves the shards on fresh loopback

@@ -88,7 +88,6 @@ class LoopbackCluster final : public IMatrixKernel {
                          const MulContext& ctx) const override;
 
   DenseMatrix ToDense() const override;
-  void CollectStats(KernelStats* stats) const override;
   void SaveSections(SnapshotWriter* out) const override;
 
   // ---- Cluster access (tests, benches, the serving CLI).

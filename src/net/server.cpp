@@ -457,9 +457,9 @@ void Server::DispatcherLoop() {
       }
     }
     ExecuteBatch(batch);
-    if (sharded_ != nullptr && config_.max_resident_shards > 0) {
+    if (sharded_ != nullptr && config_.max_resident_bytes > 0) {
       std::size_t evicted =
-          sharded_->EvictToResidencyLimit(config_.max_resident_shards);
+          sharded_->EvictToResidentBytes(config_.max_resident_bytes);
       if (evicted > 0) {
         std::lock_guard<std::mutex> lock(stats_mu_);
         stats_.shard_evictions += evicted;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/any_matrix.hpp"
 #include "encoding/byte_stream.hpp"
 #include "encoding/snapshot.hpp"
 
@@ -112,7 +113,7 @@ ShardManifest ShardManifest::DeserializeFrom(ByteReader* reader) {
     shard.row_begin = reader->GetVarint();
     shard.row_end = reader->GetVarint();
     shard.file = reader->GetString();
-    shard.spec = reader->GetString();
+    shard.spec = StoredSpecTag(reader->GetString());
     shard.crc32 = reader->Get<u32>();
     shard.snapshot_bytes = reader->GetVarint();
     shard.compressed_bytes = reader->GetVarint();

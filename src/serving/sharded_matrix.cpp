@@ -229,32 +229,6 @@ bool ShardedMatrix::EvictShard(std::size_t index) const {
   return true;
 }
 
-std::size_t ShardedMatrix::EvictToResidencyLimit(
-    std::size_t max_resident) const {
-  // Snapshot (index, last_touch) of every resident shard, then evict the
-  // least recently touched file-backed ones. Concurrent touches can race
-  // the snapshot; the limit is a serving-loop hint, not an invariant.
-  std::vector<std::pair<u64, std::size_t>> resident;
-  std::size_t pinned = 0;  // in-memory shards cannot be evicted
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    std::lock_guard<std::mutex> lock(states_[i]->mu);
-    if (!states_[i]->resident.valid()) continue;
-    if (states_[i]->file_backed) {
-      resident.emplace_back(states_[i]->last_touch, i);
-    } else {
-      ++pinned;
-    }
-  }
-  std::sort(resident.begin(), resident.end());
-  std::size_t evicted = 0;
-  std::size_t total = resident.size() + pinned;
-  for (const auto& [touch, index] : resident) {
-    if (total - evicted <= max_resident) break;
-    if (EvictShard(index)) ++evicted;
-  }
-  return evicted;
-}
-
 u64 ShardedMatrix::ResidentBytesLocked(const ShardState& shard) const {
   if (!shard.resident.valid()) return 0;
   // A mapped shard holds exactly the pages the OS has faulted in; a
@@ -286,7 +260,8 @@ u64 ShardedMatrix::ResidentPayloadBytes() const {
 }
 
 std::size_t ShardedMatrix::EvictToResidentBytes(u64 max_bytes) const {
-  // Same LRU walk as EvictToResidencyLimit, but the budget is the
+  // Snapshot (last_touch, index) of every resident shard, then evict the
+  // least recently touched file-backed ones. The budget is the
   // page-granular footprint: each shard is charged what it actually holds
   // (mincore over its mapping, or its owned copy). Pinned in-memory
   // shards keep counting against the budget, so a limit below the pinned
@@ -632,15 +607,6 @@ DenseMatrix ShardedMatrix::ToDense() const {
     }
   }
   return out;
-}
-
-void ShardedMatrix::CollectStats(KernelStats* stats) const {
-  // Resident shards only: a stats probe must never fault an evicted shard
-  // back in, so this peeks under each state's mutex instead of Acquire().
-  for (const std::unique_ptr<ShardState>& state : states_) {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (state->resident.valid()) state->resident.kernel().CollectStats(stats);
-  }
 }
 
 // ---------------------------------------------------------------------------

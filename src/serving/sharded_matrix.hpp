@@ -21,7 +21,7 @@
 //
 // Residency: shards backed by files load lazily (read on first touch,
 // checksum-verified against the manifest) or eagerly at open, and can be
-// evicted (EvictShard / EvictToResidencyLimit) for memory-bounded serving;
+// evicted (EvictShard / EvictToResidentBytes) for memory-bounded serving;
 // a later touch transparently reloads. In-memory shards (built via the
 // "sharded" spec family) are always resident. All residency operations are
 // const and thread-safe -- callers reach them through the engine with
@@ -125,10 +125,6 @@ class ShardedMatrix final : public IMatrixKernel {
   /// Returns false for in-memory shards and shards that are not resident.
   bool EvictShard(std::size_t index) const;
 
-  /// Evicts least-recently-touched file-backed shards until at most
-  /// `max_resident` shards remain resident. Returns the number evicted.
-  std::size_t EvictToResidencyLimit(std::size_t max_resident) const;
-
   /// Page-granular residency snapshot of one shard (`model_server --stats`
   /// and byte-bounded eviction read these).
   struct ShardResidency {
@@ -148,8 +144,8 @@ class ShardedMatrix final : public IMatrixKernel {
   /// Evicts least-recently-touched file-backed shards until the
   /// page-granular resident footprint is at most `max_bytes`. In-memory
   /// shards are pinned and keep counting toward the footprint. Returns the
-  /// number evicted; like EvictToResidencyLimit, a serving-loop hint that
-  /// concurrent touches may race, not an invariant.
+  /// number evicted. It is a serving-loop hint that concurrent touches may
+  /// race, not an invariant.
   std::size_t EvictToResidentBytes(u64 max_bytes) const;
 
   // ---- IMatrixKernel.
@@ -219,11 +215,6 @@ class ShardedMatrix final : public IMatrixKernel {
                                      const MulContext& ctx = {}) const;
 
   DenseMatrix ToDense() const override;
-
-  /// Sums the counters of *resident* shards only -- collecting stats must
-  /// never fault an evicted shard back in (it is a read-only probe the
-  /// serving loop calls between requests).
-  void CollectStats(KernelStats* stats) const override;
 
   /// Single-file persistence: embeds the manifest plus every shard's
   /// snapshot bytes as sections (loading lazily-evicted shards first).

@@ -25,14 +25,9 @@ TEST(AdvisorTest, ReportsAllFourFormats) {
 
 TEST(AdvisorTest, UnlimitedBudgetPicksAFastFormat) {
   // With no memory constraint the recommendation is the fastest format,
-  // which for a grammar-compressible matrix is re_32 or csrv. The
-  // modeled probe makes the ranking deterministic: the measured probe
-  // wall-clocks a single multiplication pair, and on a loaded CI machine
-  // one scheduler hiccup used to flip this assertion.
+  // which for a grammar-compressible matrix is re_32 or csrv.
   DenseMatrix m = GenerateDatasetRows(DatasetByName("Census"), 800);
-  AdvisorConstraints constraints;
-  constraints.speed_probe = SpeedProbe::kModeled;
-  AdvisorReport report = AdviseFormat(m, constraints);
+  AdvisorReport report = AdviseFormat(m);
   EXPECT_TRUE(report.recommended == GcFormat::kRe32 ||
               report.recommended == GcFormat::kCsrv);
 }
@@ -88,26 +83,19 @@ TEST(AdvisorTest, SizePredictionTracksActualSize) {
 
 TEST(AdvisorTest, IncompressibleMatrixPrefersCsrvOverReAns) {
   // On a continuous-valued matrix the grammar formats cannot beat csrv by
-  // much, and csrv multiplies faster -- the advisor must notice. Modeled
-  // probe: this ranking assertion is exactly the kind a timer flake used
-  // to break.
+  // much, and csrv multiplies faster -- the advisor must notice.
   DenseMatrix m = GenerateDatasetRows(DatasetByName("Susy"), 1000);
-  AdvisorConstraints constraints;
-  constraints.speed_probe = SpeedProbe::kModeled;
-  AdvisorReport report = AdviseFormat(m, constraints);
+  AdvisorReport report = AdviseFormat(m);
   EXPECT_TRUE(report.recommended == GcFormat::kCsrv ||
               report.recommended == GcFormat::kRe32);
 }
 
 TEST(AdvisorTest, ModeledProbeIsDeterministic) {
   // Two advisor runs over the same matrix must agree bit-for-bit on the
-  // ranking and the predicted speeds -- the property the measured probe
-  // cannot give and the reason the seam exists.
+  // ranking and the predicted speeds: no timer noise can flip a ranking.
   DenseMatrix m = GenerateDatasetRows(DatasetByName("Census"), 600);
-  AdvisorConstraints constraints;
-  constraints.speed_probe = SpeedProbe::kModeled;
-  AdvisorReport first = AdviseFormat(m, constraints);
-  AdvisorReport second = AdviseFormat(m, constraints);
+  AdvisorReport first = AdviseFormat(m);
+  AdvisorReport second = AdviseFormat(m);
   ASSERT_EQ(first.estimates.size(), second.estimates.size());
   EXPECT_EQ(first.recommended, second.recommended);
   for (std::size_t i = 0; i < first.estimates.size(); ++i) {
@@ -122,16 +110,6 @@ TEST(AdvisorTest, ModeledProbeIsDeterministic) {
   for (const FormatEstimate& e : first.estimates) {
     EXPECT_GT(e.predicted_seconds_per_iteration, 0.0);
   }
-}
-
-TEST(AdvisorTest, ProbeSpecKeySelectsModeledProbe) {
-  // The spec grammar exposes the seam: "auto?probe=modeled" must build,
-  // and an unknown probe value must be rejected loudly.
-  DenseMatrix m = GenerateDatasetRows(DatasetByName("Census"), 300);
-  AnyMatrix built = AnyMatrix::Build(m, "auto?probe=modeled");
-  EXPECT_EQ(built.rows(), m.rows());
-  EXPECT_THROW(AnyMatrix::Build(m, "auto?probe=guesswork"),
-               std::invalid_argument);
 }
 
 TEST(AdvisorTest, ToStringMentionsEveryFormat) {

@@ -27,11 +27,8 @@ inline std::vector<std::string> ConformanceSpecs() {
   specs.push_back("gcm:re_32?blocks=4");
   specs.push_back("gcm:re_ans?blocks=3&fold_bits=10");
   specs.push_back("gcm:re_iv?max_rules=8");
-  specs.push_back("gcm:re_32?rule_cache=64KiB");
-  specs.push_back("gcm:re_ans?blocks=2&rule_cache=32KiB");
   specs.push_back("cla?co_code=0");
   specs.push_back("auto?budget=64MiB&blocks=2");
-  specs.push_back("auto?probe=modeled");
   // Inner specs escape '&' as '+'; the escaped form must conform too.
   specs.push_back("sharded?inner=gcm:re_ans?blocks=2+fold_bits=10&shards=3");
   // Multi-node serving: a loopback cluster (real TCP workers) must be a

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/any_matrix.hpp"
@@ -178,9 +179,18 @@ TEST(GcMatrixTest, CorruptSerializationRejected) {
 // --------------------------------------------------------------------------
 
 struct BlockedCase {
+  BlockedCase(GcFormat f, std::size_t b) : format(f), blocks(b) {}
+
   GcFormat format;
+  // Occupies the alignment gap before `blocks`. gtest names each case after
+  // the raw bytes of its parameter, so an uninitialised gap would give the
+  // same case a different name on every build.
+  std::int32_t gap = 0;
   std::size_t blocks;
 };
+static_assert(sizeof(BlockedCase) ==
+                  sizeof(GcFormat) + sizeof(std::int32_t) + sizeof(std::size_t),
+              "BlockedCase must have no padding bytes");
 
 class BlockedTest : public ::testing::TestWithParam<BlockedCase> {};
 

@@ -25,6 +25,7 @@
 #include "matrix/csrv.hpp"
 #include "matrix/sparse_builder.hpp"
 #include "conformance_specs.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace gcm {
@@ -214,10 +215,7 @@ TEST_P(EngineConformanceTest, SnapshotRoundTripMatchesDenseOracle) {
 TEST_P(EngineConformanceTest, SnapshotFileRoundTrip) {
   DenseMatrix dense = TestMatrix();
   AnyMatrix original = AnyMatrix::Build(dense, GetParam());
-  std::string path = ::testing::TempDir() + "engine_" +
-                     SpecTestName(::testing::TestParamInfo<std::string>(
-                         GetParam(), 0)) +
-                     ".gcsnap";
+  std::string path = ScratchPath("engine.gcsnap");
   original.Save(path);
   AnyMatrix restored = AnyMatrix::Load(path);
   EXPECT_EQ(restored.FormatTag(), original.FormatTag());
@@ -295,6 +293,27 @@ TEST(MatrixSpecTest, UnknownVariantAndKeyAreRejected) {
   EXPECT_THROW(
       MatrixSpec::Parse("auto?budget=-1MiB").GetBytes("budget", 0),
       std::invalid_argument);
+}
+
+TEST(MatrixSpecTest, RetiredKeysAreRejectedByName) {
+  // rule_cache= (the removed hot-rule cache) and probe= (the removed
+  // wall-clock advisor probe) are unknown keys to Build; only the load
+  // path still accepts rule_cache= in tags of older files.
+  DenseMatrix dense = TestMatrix();
+  for (const auto& [spec, key] :
+       {std::pair{"gcm:re_32?rule_cache=4096", "rule_cache"},
+        std::pair{"gcm:re_ans?blocks=2&rule_cache=32KiB", "rule_cache"},
+        std::pair{"auto?probe=modeled", "probe"}}) {
+    try {
+      AnyMatrix::Build(dense, spec);
+      FAIL() << spec << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key \"" +
+                                           std::string(key) + '"'),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(MatrixSpecTest, ListSpecsCoversAllSevenBackends) {

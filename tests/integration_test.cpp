@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "baselines/cla/cla_matrix.hpp"
@@ -30,6 +31,12 @@ struct PipelineCase {
   const char* dataset;
   GcFormat format;
 };
+
+// gtest would otherwise print the raw bytes of the case, dataset pointer
+// included, into the case name, which then changes from build to build.
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << c.dataset << "/" << FormatName(c.format);
+}
 
 class PipelineTest : public ::testing::TestWithParam<PipelineCase> {};
 

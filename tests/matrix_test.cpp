@@ -11,6 +11,7 @@
 #include "matrix/dense_matrix.hpp"
 #include "matrix/matrix_io.hpp"
 #include "matrix/stats.hpp"
+#include "test_paths.hpp"
 
 namespace gcm {
 namespace {
@@ -239,13 +240,7 @@ TEST(StatsTest, HigherOrderNeverIncreasesEntropy) {
 
 class MatrixIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "gcm_io_test";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string Path(const std::string& name) { return (dir_ / name).string(); }
-  std::filesystem::path dir_;
+  std::string Path(const std::string& name) { return ScratchPath(name); }
 };
 
 TEST_F(MatrixIoTest, DenseBinaryRoundTrip) {

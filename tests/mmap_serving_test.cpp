@@ -33,6 +33,7 @@
 #include "serving/matrix_store.hpp"
 #include "serving/shard_manifest.hpp"
 #include "serving/sharded_matrix.hpp"
+#include "test_paths.hpp"
 #include "util/mapped_file.hpp"
 #include "util/rng.hpp"
 
@@ -51,10 +52,6 @@ std::vector<double> RandomVector(std::size_t n, u64 seed) {
   std::vector<double> v(n);
   for (auto& x : v) x = rng.NextDouble() * 2.0 - 1.0;
   return v;
-}
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
 }
 
 /// The generator behind the checked-in tests/data fixtures: entry (r, c)
@@ -92,7 +89,7 @@ TEST_P(MmapConformanceTest, MappedLoadBitwiseEqualsCopiedLoad) {
   }
   DenseMatrix dense = TestMatrix();
   AnyMatrix built = AnyMatrix::Build(dense, GetParam());
-  std::string path = TempPath("mmap_conformance.gcsnap");
+  std::string path = ScratchPath("mmap_conformance.gcsnap");
   built.Save(path);
 
   AnyMatrix mapped = AnyMatrix::Load(path);            // mmap + borrow
@@ -146,7 +143,7 @@ TEST_P(V1FixtureTest, V1SnapshotStillLoadsAndMigrates) {
 
   // Migration: re-saving writes the current (v2) container; the reloaded
   // matrix -- now borrowed from an aligned mapping -- is bitwise equal.
-  std::string migrated = TempPath(std::string("migrated_") + GetParam());
+  std::string migrated = ScratchPath(std::string("migrated_") + GetParam());
   v1.Save(migrated);
   EXPECT_EQ(SnapshotReader::FromFile(migrated).version(), kSnapshotVersion);
   AnyMatrix v2 = AnyMatrix::Load(migrated);
@@ -159,8 +156,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("v1_dense_24x10.gcsnap", "v1_csr_24x10.gcsnap",
                       "v1_csr_iv_24x10.gcsnap", "v1_csrv_24x10.gcsnap",
                       "v1_gcm_re_ans_b2_24x10.gcsnap"),
-    [](const ::testing::TestParamInfo<const char*>& info) {
-      std::string name = info.param;
+    [](const ::testing::TestParamInfo<const char*>& fixture) {
+      std::string name = fixture.param;
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }
@@ -171,8 +168,7 @@ TEST(V1FixtureTest, V1StoreServesAndResavesAsV2) {
   // Work on a copy: Resave rewrites in place and the checked-in store
   // must stay v1 for the next run.
   fs::path src = DataPath("v1_store");
-  fs::path dir = fs::path(::testing::TempDir()) / "v1_store_migrate";
-  fs::remove_all(dir);
+  fs::path dir = ScratchPath("v1_store");
   fs::create_directories(dir);
   for (const auto& entry : fs::directory_iterator(src)) {
     fs::copy_file(entry.path(), dir / entry.path().filename());
@@ -198,13 +194,66 @@ TEST(V1FixtureTest, V1StoreServesAndResavesAsV2) {
 }
 
 // --------------------------------------------------------------------------
+// Retired rule_cache= tag key
+// --------------------------------------------------------------------------
+
+// Exactly representable operands: with the fixture's half-integer entries
+// every partial sum is exact, so any summation order gives the same bits.
+std::vector<double> IntegerVector(std::size_t n) {
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<double>(i % 7) - 3;
+  return v;
+}
+
+TEST(RetiredSpecKeyTest, SnapshotTagStillLoads) {
+  // Written by a build that still had the hot-rule cache: its tag carries
+  // rule_cache=, which the load path ignores.
+  std::string path = DataPath("v2_gcm_re_32_rule_cache_24x10.gcsnap");
+  ASSERT_TRUE(fs::exists(path)) << "missing checked-in fixture " << path;
+  ASSERT_EQ(SnapshotReader::FromFile(path).spec(),
+            "gcm:re_32?rule_cache=4096");
+
+  DenseMatrix expected = FixtureDense(24, 10);
+  AnyMatrix m = AnyMatrix::Load(path);
+  EXPECT_EQ(m.FormatTag(), "gcm:re_32");
+  std::vector<double> x = IntegerVector(expected.cols());
+  std::vector<double> y = IntegerVector(expected.rows());
+  EXPECT_EQ(m.MultiplyRight(x), expected.MultiplyRight(x));
+  EXPECT_EQ(m.MultiplyLeft(y), expected.MultiplyLeft(y));
+  EXPECT_EQ(DenseMatrix::MaxAbsDiff(m.ToDense(), expected), 0.0);
+}
+
+TEST(RetiredSpecKeyTest, StoreManifestTagStillLoads) {
+  // A store manifest from the same era records rule_cache= in every
+  // shard's spec; the shards must still match what it promises.
+  DenseMatrix expected = FixtureDense(24, 10);
+  const std::string inners[] = {"gcm:re_32", "gcm:re_32?blocks=2"};
+  for (std::size_t i = 0; i < std::size(inners); ++i) {
+    const std::string& inner = inners[i];
+    fs::path dir = ScratchPath("store_" + std::to_string(i));
+    ShardManifest manifest =
+        MatrixStore::Partition(expected, inner, {.shards = 3}, dir.string());
+    for (ShardManifestEntry& shard : manifest.shards) {
+      shard.spec += shard.spec.find('?') == std::string::npos
+                        ? "?rule_cache=4096"
+                        : "&rule_cache=4096";
+    }
+    manifest.Save(MatrixStore::ManifestPath(dir.string()));
+
+    AnyMatrix m = MatrixStore::Open(dir.string());
+    std::vector<double> x = IntegerVector(expected.cols());
+    EXPECT_EQ(m.MultiplyRight(x), expected.MultiplyRight(x)) << inner;
+    EXPECT_EQ(DenseMatrix::MaxAbsDiff(m.ToDense(), expected), 0.0) << inner;
+  }
+}
+
+// --------------------------------------------------------------------------
 // Cold-start shard residency
 // --------------------------------------------------------------------------
 
 TEST(MmapResidencyTest, ColdStartMapsEvictsAndReloadsBitwise) {
   DenseMatrix dense = TestMatrix();
-  fs::path dir = fs::path(::testing::TempDir()) / "mmap_cold_start_store";
-  fs::remove_all(dir);
+  fs::path dir = ScratchPath("store");
   MatrixStore::Partition(dense, "gcm:re_32", {.shards = 3}, dir.string());
 
   AnyMatrix m = MatrixStore::Open(dir.string());  // lazy: nothing resident
@@ -259,7 +308,7 @@ TEST(MmapResidencyTest, SingleFileShardSectionsAreCacheLineAligned) {
   DenseMatrix dense = TestMatrix();
   AnyMatrix built =
       AnyMatrix::Build(dense, "sharded?inner=csr&rows_per_shard=16");
-  std::string path = TempPath("aligned_sharded.gcsnap");
+  std::string path = ScratchPath("aligned_sharded.gcsnap");
   built.Save(path);
 
   SnapshotReader reader = SnapshotReader::FromFile(path);

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,12 +26,11 @@
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "serving/sharded_matrix.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace gcm {
 namespace {
-
-namespace fs = std::filesystem;
 
 constexpr const char* kHost = "127.0.0.1";
 
@@ -151,11 +149,10 @@ TEST(ClusterManifestTest, FileRoundTripPreservesEverything) {
   EXPECT_EQ(manifest.WorkerCount(), 2u);
   EXPECT_EQ(manifest.FormatTag(), "cluster?shards=2&workers=2");
 
-  fs::path path = fs::path(::testing::TempDir()) / "cluster_manifest.gcsnap";
-  manifest.Save(path.string());
-  ClusterManifest loaded = ClusterManifest::Load(path.string());
+  std::string path = ScratchPath("cluster_manifest.gcsnap");
+  manifest.Save(path);
+  ClusterManifest loaded = ClusterManifest::Load(path);
   EXPECT_EQ(loaded, manifest);
-  fs::remove(path);
 }
 
 TEST(ClusterManifestTest, DeriveRoutesShardsRoundRobinWithReplicas) {

@@ -10,8 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,12 +24,11 @@
 #include "net/server.hpp"
 #include "serving/matrix_store.hpp"
 #include "serving/sharded_matrix.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace gcm {
 namespace {
-
-namespace fs = std::filesystem;
 
 constexpr const char* kHost = "127.0.0.1";
 
@@ -43,12 +42,6 @@ std::vector<double> RandomVector(std::size_t n, u64 seed) {
   std::vector<double> v(n);
   for (auto& x : v) x = rng.NextDouble() * 2.0 - 1.0;
   return v;
-}
-
-std::string StoreDir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("net_serving_" + name);
-  fs::remove_all(dir);
-  return dir.string();
 }
 
 std::vector<u8> ValidPingFrameBytes() {
@@ -441,7 +434,7 @@ TEST(NetServerTest, ConnectionLimitRefusedWithNamedError) {
 
 TEST(NetServerTest, RangeRequestsTouchOnlyOverlappingShards) {
   DenseMatrix dense = TestDense();  // 60 rows
-  std::string dir = StoreDir("range_touch");
+  std::string dir = ScratchPath("range_touch");
   MatrixStore::Partition(dense, "csr", {.shards = 6}, dir);  // 10 rows each
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
   const ShardedMatrix* sharded = ShardedMatrix::FromKernel(m.kernel());
@@ -461,16 +454,25 @@ TEST(NetServerTest, RangeRequestsTouchOnlyOverlappingShards) {
 
 TEST(NetServerTest, ResidencyLimitBoundsTheWorkingSet) {
   DenseMatrix dense = TestDense();
-  std::string dir = StoreDir("residency");
+  std::string dir = ScratchPath("residency");
   MatrixStore::Partition(dense, "csr", {.shards = 6}, dir);
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
   const ShardedMatrix* sharded = ShardedMatrix::FromKernel(m.kernel());
   ASSERT_NE(sharded, nullptr);
 
-  TestServer ts(m, ServerConfig{.batching = false, .max_resident_shards = 2});
-  Client client = ts.Connect();
   std::vector<double> x = RandomVector(m.cols(), 95);
-  std::vector<double> local = m.MultiplyRight(x);
+  std::vector<double> local = m.MultiplyRight(x);  // every shard resident
+  // Twice the smallest shard's footprint holds at most two shards.
+  u64 smallest = ~0ULL;
+  for (std::size_t i = 0; i < sharded->shard_count(); ++i) {
+    smallest =
+        std::min(smallest, sharded->ShardResidencyInfo(i).resident_bytes);
+  }
+  ASSERT_GT(smallest, 0u);
+
+  TestServer ts(m, ServerConfig{.batching = false,
+                                .max_resident_bytes = 2 * smallest});
+  Client client = ts.Connect();
   for (int round = 0; round < 3; ++round) {
     EXPECT_EQ(client.MvmRight(x), local);  // touches all six shards
     std::vector<double> slice = client.MvmRight(x, 5, 15);

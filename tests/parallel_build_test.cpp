@@ -23,6 +23,7 @@
 #include "matrix/sparse_builder.hpp"
 #include "serving/matrix_store.hpp"
 #include "serving/sharded_matrix.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -48,13 +49,6 @@ std::vector<Triplet> TestTriplets(std::size_t rows, std::size_t cols) {
     }
   }
   return entries;
-}
-
-/// Fresh directory under the test temp dir (wiped first).
-std::string FreshDir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("parallel_build_" + name);
-  fs::remove_all(dir);
-  return dir.string();
 }
 
 /// Snapshot of a directory's regular files as (name, bytes), sorted by
@@ -127,8 +121,8 @@ TEST(ParallelBuildDeterminismTest, SingleThreadPoolBuildCompletes) {
 TEST(ParallelBuildDeterminismTest, StoreFilesMatchSequential) {
   DenseMatrix dense = TestMatrix();
   ThreadPool pool(4);
-  std::string seq_dir = FreshDir("store_seq");
-  std::string pool_dir = FreshDir("store_pool");
+  std::string seq_dir = ScratchPath("store_seq");
+  std::string pool_dir = ScratchPath("store_pool");
   MatrixStore::Partition(dense, "gcm:re_ans?blocks=2", {.shards = 5},
                          seq_dir);
   MatrixStore::Partition(dense, "gcm:re_ans?blocks=2", {.shards = 5},
@@ -147,8 +141,8 @@ TEST(ParallelBuildDeterminismTest, StoreFilesMatchSequential) {
 TEST(ParallelBuildDeterminismTest, TripletStoreFilesMatchSequential) {
   std::vector<Triplet> entries = TestTriplets(100, 9);
   ThreadPool pool(3);
-  std::string seq_dir = FreshDir("triplet_store_seq");
-  std::string pool_dir = FreshDir("triplet_store_pool");
+  std::string seq_dir = ScratchPath("triplet_store_seq");
+  std::string pool_dir = ScratchPath("triplet_store_pool");
   MatrixStore::Partition(100, 9, entries, "gcm:re_32", {.rows_per_shard = 30},
                          seq_dir);
   MatrixStore::Partition(100, 9, entries, "gcm:re_32", {.rows_per_shard = 30},
@@ -161,7 +155,7 @@ TEST(ParallelBuildDeterminismTest, PooledStoreServesTheDenseOracle) {
   // the matrix it partitioned.
   DenseMatrix dense = TestMatrix();
   ThreadPool pool(4);
-  std::string dir = FreshDir("store_serve");
+  std::string dir = ScratchPath("store_serve");
   MatrixStore::Partition(dense, "gcm:re_32", {.shards = 4}, dir,
                          {.pool = &pool});
   AnyMatrix served = MatrixStore::Open(dir);
@@ -183,7 +177,7 @@ TEST(ParallelBuildFailureTest, FailedPartitionLeavesNoHalfStore) {
   // store directory must not even exist afterwards -- nothing for
   // MatrixStore::Open to half-accept.
   DenseMatrix dense = TestMatrix();
-  std::string dir = FreshDir("failed_partition");
+  std::string dir = ScratchPath("failed_partition");
   EXPECT_THROW(MatrixStore::Partition(dense, "gcm:re_ans?fold_bits=20",
                                       {.shards = 3}, dir),
                Error);
@@ -195,7 +189,7 @@ TEST(ParallelBuildFailureTest, FailedRepartitionPreservesExistingStore) {
   // Overwriting a healthy store with a failing build must leave every
   // original file untouched (the staged-rename protocol's whole point).
   DenseMatrix dense = TestMatrix();
-  std::string dir = FreshDir("repartition");
+  std::string dir = ScratchPath("repartition");
   MatrixStore::Partition(dense, "gcm:re_32", {.shards = 3}, dir);
   auto before = DirContents(dir);
   ThreadPool pool(2);
@@ -210,7 +204,7 @@ TEST(ParallelBuildFailureTest, ShrinkingRepartitionSweepsStaleShards) {
   // Repartitioning a store into fewer shards must not strand the old
   // layout's surplus shard files next to the new manifest.
   DenseMatrix dense = TestMatrix();
-  std::string dir = FreshDir("shrink");
+  std::string dir = ScratchPath("shrink");
   MatrixStore::Partition(dense, "gcm:re_32", {.shards = 5}, dir);
   ASSERT_EQ(DirContents(dir).size(), 6u);
   ThreadPool pool(2);
@@ -250,7 +244,7 @@ TEST(ParallelBuildFailureTest, OversizedShardRejectedByName) {
 // --------------------------------------------------------------------------
 
 TEST(ManifestPathTest, ResolvesDirectoriesFilesAndMissingPaths) {
-  std::string dir = FreshDir("manifest_path");
+  std::string dir = ScratchPath("manifest_path");
   fs::create_directories(dir);
   EXPECT_EQ(MatrixStore::ManifestPath(dir),
             (fs::path(dir) / "manifest.gcsnap").string());

@@ -25,6 +25,7 @@
 #include "serving/matrix_store.hpp"
 #include "serving/shard_manifest.hpp"
 #include "serving/sharded_matrix.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -43,13 +44,6 @@ std::vector<double> RandomVector(std::size_t n, u64 seed) {
   std::vector<double> v(n);
   for (auto& x : v) x = rng.NextDouble() * 2.0 - 1.0;
   return v;
-}
-
-/// Fresh store directory under the test temp dir (wiped first).
-std::string StoreDir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("serving_" + name);
-  fs::remove_all(dir);
-  return dir.string();
 }
 
 const ShardedMatrix& Sharded(const AnyMatrix& m) {
@@ -107,7 +101,7 @@ TEST(InnerSpecTest, EscapingIsTotal) {
 
 TEST(ShardManifestTest, FileRoundTrip) {
   ShardManifest manifest = SmallManifest();
-  std::string path = StoreDir("manifest_rt");
+  std::string path = ScratchPath("manifest_rt");
   fs::create_directories(path);
   std::string file = (fs::path(path) / kShardManifestFileName).string();
   manifest.Save(file);
@@ -157,7 +151,7 @@ TEST(ShardManifestTest, CorruptManifestSectionIsNamed) {
 
 TEST(MatrixStoreTest, PartitionOpenMatchesDenseOracle) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("oracle");
+  std::string dir = ScratchPath("oracle");
   ShardManifest manifest = MatrixStore::Partition(
       dense, "gcm:re_iv", {.rows_per_shard = 16}, dir);
   EXPECT_EQ(manifest.shards.size(), 4u);
@@ -180,7 +174,7 @@ TEST(MatrixStoreTest, PartitionOpenMatchesDenseOracle) {
 
 TEST(MatrixStoreTest, PooledAndUnpooledScatterGatherAreBitwiseEqual) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("pool");
+  std::string dir = ScratchPath("pool");
   MatrixStore::Partition(dense, "csrv", {.shards = 5}, dir);
   AnyMatrix m = MatrixStore::Open(dir);
   ThreadPool pool(3);
@@ -194,7 +188,7 @@ TEST(MatrixStoreTest, DenseShardsReproduceTheOracleBitForBit) {
   // With dense shards the scatter path runs exactly the oracle's per-row
   // accumulation over disjoint row ranges, so even the bits must match.
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("bitwise");
+  std::string dir = ScratchPath("bitwise");
   MatrixStore::Partition(dense, "dense", {.shards = 4}, dir);
   AnyMatrix m = MatrixStore::Open(dir);
   ThreadPool pool(4);
@@ -205,7 +199,7 @@ TEST(MatrixStoreTest, DenseShardsReproduceTheOracleBitForBit) {
 
 TEST(MatrixStoreTest, LazyLoadsOnFirstTouchAndReloadsAfterEvict) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("lazy");
+  std::string dir = ScratchPath("lazy");
   MatrixStore::Partition(dense, "csr", {.shards = 3}, dir);
 
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
@@ -228,29 +222,33 @@ TEST(MatrixStoreTest, LazyLoadsOnFirstTouchAndReloadsAfterEvict) {
 
 TEST(MatrixStoreTest, EagerOpenLoadsEverything) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("eager");
+  std::string dir = ScratchPath("eager");
   MatrixStore::Partition(dense, "csr", {.shards = 3}, dir);
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kEager);
   EXPECT_EQ(Sharded(m).LoadedShardCount(), 3u);
 }
 
-TEST(MatrixStoreTest, EvictToResidencyLimitKeepsTheMostRecentlyTouched) {
+TEST(MatrixStoreTest, EvictToResidentBytesKeepsTheMostRecentlyTouched) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("lru");
+  std::string dir = ScratchPath("lru");
   MatrixStore::Partition(dense, "csr", {.shards = 4}, dir);
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kEager);
   const ShardedMatrix& sharded = Sharded(m);
 
   sharded.LoadShard(2);  // freshest touch
-  EXPECT_EQ(sharded.EvictToResidencyLimit(1), 3u);
+  // A budget of one shard's footprint: eviction walks least recently
+  // touched first, so the three older shards go and shard 2 stays.
+  const u64 budget = sharded.ShardResidencyInfo(2).resident_bytes;
+  ASSERT_GT(budget, 0u);
+  EXPECT_EQ(sharded.EvictToResidentBytes(budget), 3u);
   EXPECT_EQ(sharded.LoadedShardCount(), 1u);
   EXPECT_TRUE(sharded.ShardResident(2));
-  EXPECT_EQ(sharded.EvictToResidencyLimit(1), 0u);  // already at the limit
+  EXPECT_EQ(sharded.EvictToResidentBytes(budget), 0u);  // within budget
 }
 
 TEST(MatrixStoreTest, ReopeningRunsZeroRePairConstructions) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("norepair");
+  std::string dir = ScratchPath("norepair");
   MatrixStore::Partition(dense, "gcm:re_ans", {.shards = 3}, dir);
 
   u64 repair_before = RePairInvocationCount();
@@ -264,7 +262,7 @@ TEST(MatrixStoreTest, ReopeningRunsZeroRePairConstructions) {
 
 TEST(MatrixStoreTest, CorruptShardFileFailsItsChecksumByName) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("corrupt");
+  std::string dir = ScratchPath("corrupt");
   ShardManifest manifest =
       MatrixStore::Partition(dense, "csrv", {.shards = 3}, dir);
 
@@ -292,7 +290,7 @@ TEST(MatrixStoreTest, CorruptShardFileFailsItsChecksumByName) {
 
 TEST(MatrixStoreTest, MissingShardFileIsNamed) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("missing");
+  std::string dir = ScratchPath("missing");
   ShardManifest manifest =
       MatrixStore::Partition(dense, "csr", {.shards = 2}, dir);
   fs::remove(fs::path(dir) / manifest.shards[0].file);
@@ -309,7 +307,7 @@ TEST(MatrixStoreTest, MissingShardFileIsNamed) {
 
 TEST(MatrixStoreTest, TripletPartitionMatchesDensePartition) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("triplets");
+  std::string dir = ScratchPath("triplets");
   MatrixStore::Partition(dense.rows(), dense.cols(),
                          TripletsFromDense(dense), "csrv",
                          {.rows_per_shard = 25}, dir);
@@ -320,7 +318,7 @@ TEST(MatrixStoreTest, TripletPartitionMatchesDensePartition) {
 
 TEST(MatrixStoreTest, TargetBytesPolicyBoundsTheDenseSliceSize) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("bytes");
+  std::string dir = ScratchPath("bytes");
   ShardManifest manifest = MatrixStore::Partition(
       dense, "csr",
       {.target_bytes = 20 * dense.cols() * sizeof(double)}, dir);
@@ -343,7 +341,7 @@ TEST(ShardedSpecTest, InMemoryBuildServesAndRefusesEviction) {
   const ShardedMatrix& sharded = Sharded(m);
   EXPECT_EQ(sharded.LoadedShardCount(), 3u);
   EXPECT_FALSE(sharded.EvictShard(0));  // no file to reload from
-  EXPECT_EQ(sharded.EvictToResidencyLimit(0), 0u);
+  EXPECT_EQ(sharded.EvictToResidentBytes(0), 0u);
   EXPECT_EQ(sharded.LoadedShardCount(), 3u);
 }
 
@@ -354,7 +352,7 @@ TEST(ShardedSpecTest, RejectsNestingAndUnknownInner) {
   EXPECT_THROW(AnyMatrix::Build(dense, "sharded?inner=wavelet"),
                std::invalid_argument);
   EXPECT_THROW(MatrixStore::Partition(dense, "sharded?inner=csr", {},
-                                      StoreDir("nested")),
+                                      ScratchPath("nested")),
                std::invalid_argument);
 }
 
@@ -394,7 +392,7 @@ TEST(ShardedSpecTest, SingleFileSnapshotRoundTrip) {
 
 TEST(ShardedSpecTest, StoreManifestLoadsThroughTheEngineFrontDoor) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("frontdoor");
+  std::string dir = ScratchPath("frontdoor");
   MatrixStore::Partition(dense, "csr", {.shards = 3}, dir);
   std::string manifest_path = MatrixStore::ManifestPath(dir);
 
@@ -418,7 +416,7 @@ TEST(ShardedSpecTest, StoreManifestLoadsThroughTheEngineFrontDoor) {
 
 TEST(ShardedSpecTest, StoreConsolidatesIntoASingleFileSnapshot) {
   DenseMatrix dense = TestMatrix();
-  std::string dir = StoreDir("consolidate");
+  std::string dir = ScratchPath("consolidate");
   MatrixStore::Partition(dense, "csr_iv", {.shards = 3}, dir);
   AnyMatrix store = MatrixStore::Open(dir);
 

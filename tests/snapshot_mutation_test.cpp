@@ -24,6 +24,7 @@
 #include "matrix/dense_matrix.hpp"
 #include "serving/matrix_store.hpp"
 #include "serving/shard_manifest.hpp"
+#include "test_paths.hpp"
 #include "util/common.hpp"
 #include "util/rng.hpp"
 
@@ -214,8 +215,7 @@ TEST(SnapshotStructuralMutationTest, TruncationInsidePaddingIsNamed) {
 
 TEST(SnapshotMutationTest, MutatedStoreManifestLoadsOrThrows) {
   DenseMatrix dense = TestMatrix();
-  fs::path dir = fs::path(::testing::TempDir()) / "snapshot_mutation_store";
-  fs::remove_all(dir);
+  fs::path dir = ScratchPath("store");
   MatrixStore::Partition(dense, "csr", {.shards = 3}, dir.string());
 
   fs::path manifest_path = dir / kShardManifestFileName;

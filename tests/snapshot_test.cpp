@@ -20,6 +20,7 @@
 #include "matrix/csrv.hpp"
 #include "matrix/matrix_io.hpp"
 #include "matrix/sparse_builder.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 
 namespace gcm {
@@ -28,10 +29,6 @@ namespace {
 DenseMatrix TestMatrix() {
   Rng rng(1337);
   return DenseMatrix::Random(20, 9, 0.6, 4, &rng);
-}
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
 }
 
 /// Re-stamps the header checksum after a test mutated the body, so the
@@ -314,7 +311,7 @@ TEST(SnapshotEngineTest, TrailingBytesInPayloadSectionAreRejected) {
 
 TEST(SnapshotEngineTest, LoadReportsFilePath) {
   try {
-    AnyMatrix::Load(TempPath("does_not_exist.gcsnap"));
+    AnyMatrix::Load(ScratchPath("does_not_exist.gcsnap"));
     FAIL() << "expected Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("does_not_exist.gcsnap"),
@@ -328,11 +325,11 @@ TEST(SnapshotEngineTest, LoadReportsFilePath) {
 
 TEST(MatrixFileTest, SniffsAllFiveKinds) {
   DenseMatrix dense = TestMatrix();
-  std::string snapshot = TempPath("sniff.gcsnap");
-  std::string dense_bin = TempPath("sniff.dmat");
-  std::string csrv_bin = TempPath("sniff.csrv");
-  std::string market = TempPath("sniff.mtx");
-  std::string text = TempPath("sniff.txt");
+  std::string snapshot = ScratchPath("sniff.gcsnap");
+  std::string dense_bin = ScratchPath("sniff.dmat");
+  std::string csrv_bin = ScratchPath("sniff.csrv");
+  std::string market = ScratchPath("sniff.mtx");
+  std::string text = ScratchPath("sniff.txt");
   AnyMatrix::Wrap(DenseMatrix(dense)).Save(snapshot);
   SaveDense(dense, dense_bin);
   SaveCsrv(CsrvMatrix::FromDense(dense), csrv_bin);
@@ -356,21 +353,21 @@ TEST(MatrixFileTest, SniffsAllFiveKinds) {
 
 TEST(MatrixFileTest, LoadAutoPreservesStoredBackend) {
   DenseMatrix dense = TestMatrix();
-  std::string path = TempPath("backend.gcsnap");
+  std::string path = ScratchPath("backend.gcsnap");
   AnyMatrix::Build(dense, "gcm:re_iv?blocks=3").Save(path);
   AnyMatrix loaded = LoadAuto(path);
   EXPECT_EQ(loaded.FormatTag(), "gcm:re_iv?blocks=3");
   std::remove(path.c_str());
 
   // MatrixMarket is a sparse text format; it ingests as CSR.
-  std::string market = TempPath("backend.mtx");
+  std::string market = ScratchPath("backend.mtx");
   SaveMatrixMarket(dense, market);
   EXPECT_EQ(LoadAuto(market).FormatTag(), "csr");
   std::remove(market.c_str());
 }
 
 TEST(MatrixFileTest, LegacyGcmFilesAreRejectedWithAMessage) {
-  std::string path = TempPath("legacy.gcm");
+  std::string path = ScratchPath("legacy.gcm");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fputs("GCM1\x01\x02\x03\x04 binary soup", f);
@@ -388,7 +385,7 @@ TEST(MatrixFileTest, TextFormatsPreserveFullDoublePrecision) {
   // Values that need all 17 significant digits to survive a text round
   // trip; the writers must not truncate to the default 6.
   DenseMatrix dense(2, 2, {2.718281828459045, 0.0, -1.0 / 3.0, 1e-300});
-  std::string market = TempPath("precision.mtx");
+  std::string market = ScratchPath("precision.mtx");
   SaveMatrixMarket(dense, market);
   MatrixMarketData data = LoadMatrixMarket(market);
   DenseMatrix restored =
@@ -397,7 +394,7 @@ TEST(MatrixFileTest, TextFormatsPreserveFullDoublePrecision) {
   EXPECT_EQ(restored, dense);
   std::remove(market.c_str());
 
-  std::string text = TempPath("precision.txt");
+  std::string text = ScratchPath("precision.txt");
   SaveDenseText(dense, text);
   EXPECT_EQ(LoadDenseText(text), dense);
   std::remove(text.c_str());
@@ -405,7 +402,7 @@ TEST(MatrixFileTest, TextFormatsPreserveFullDoublePrecision) {
 
 TEST(MatrixFileTest, MatrixMarketRoundTrip) {
   DenseMatrix dense = TestMatrix();
-  std::string path = TempPath("roundtrip.mtx");
+  std::string path = ScratchPath("roundtrip.mtx");
   SaveMatrixMarket(dense, path);
   MatrixMarketData data = LoadMatrixMarket(path);
   EXPECT_EQ(data.rows, dense.rows());
@@ -419,7 +416,7 @@ TEST(MatrixFileTest, MatrixMarketRoundTrip) {
 }
 
 TEST(MatrixFileTest, MatrixMarketRejectsMalformedFiles) {
-  std::string path = TempPath("bad.mtx");
+  std::string path = ScratchPath("bad.mtx");
   auto write = [&](const char* content) {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
@@ -436,7 +433,7 @@ TEST(MatrixFileTest, MatrixMarketRejectsMalformedFiles) {
 }
 
 TEST(MatrixFileTest, EmptyFileIsRejectedByName) {
-  std::string path = TempPath("empty.any");
+  std::string path = ScratchPath("empty.any");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fclose(f);
@@ -479,7 +476,7 @@ TEST(MatrixFileTest, ZeroByteSectionSnapshotIsRejectedByName) {
   meta.PutVarint(dense.cols());
   meta.Put<u64>(0);
   writer.BeginSection("csrv");  // declared, zero bytes
-  std::string path = TempPath("zero_section.gcsnap");
+  std::string path = ScratchPath("zero_section.gcsnap");
   writer.WriteFile(path);
   EXPECT_EQ(SniffMatrixFile(path), MatrixFileKind::kSnapshot);
   try {
@@ -493,7 +490,7 @@ TEST(MatrixFileTest, ZeroByteSectionSnapshotIsRejectedByName) {
 }
 
 TEST(MatrixFileTest, CommentsOnlyMatrixMarketIsRejectedByName) {
-  std::string path = TempPath("comments_only.mtx");
+  std::string path = ScratchPath("comments_only.mtx");
   std::FILE* f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
   std::fputs(

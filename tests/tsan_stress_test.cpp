@@ -20,7 +20,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,13 +31,12 @@
 #include "matrix/dense_matrix.hpp"
 #include "serving/matrix_store.hpp"
 #include "serving/sharded_matrix.hpp"
+#include "test_paths.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gcm {
 namespace {
-
-namespace fs = std::filesystem;
 
 DenseMatrix StressMatrix() {
   Rng rng(4242);
@@ -50,13 +48,6 @@ std::vector<double> RandomVector(std::size_t n, u64 seed) {
   std::vector<double> v(n);
   for (auto& x : v) x = rng.NextDouble() * 2.0 - 1.0;
   return v;
-}
-
-/// Fresh store directory under the test temp dir (wiped first).
-std::string StoreDir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("tsan_stress_" + name);
-  fs::remove_all(dir);
-  return dir.string();
 }
 
 const ShardedMatrix& Sharded(const AnyMatrix& m) {
@@ -81,7 +72,7 @@ bool NearlyEqual(const std::vector<double>& a, const std::vector<double>& b) {
 
 TEST(TsanStressTest, MultipliesRaceEvictionWithoutCorruption) {
   DenseMatrix dense = StressMatrix();
-  std::string dir = StoreDir("mul_vs_evict");
+  std::string dir = ScratchPath("mul_vs_evict");
   MatrixStore::Partition(dense, "csr", {.shards = 6}, dir);
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
   const ShardedMatrix& sharded = Sharded(m);
@@ -97,6 +88,8 @@ TEST(TsanStressTest, MultipliesRaceEvictionWithoutCorruption) {
   m.MultiplyLeftInto(yvec, want_left, MulContext{});
   ASSERT_TRUE(NearlyEqual(want_right, dense.MultiplyRight(x)));
   ASSERT_TRUE(NearlyEqual(want_left, dense.MultiplyLeft(yvec)));
+  // About two shards' footprint (every shard is resident here).
+  const u64 budget = 2 * sharded.ShardResidencyInfo(0).resident_bytes;
 
   constexpr int kIters = 40;
   std::atomic<bool> stop{false};
@@ -123,9 +116,9 @@ TEST(TsanStressTest, MultipliesRaceEvictionWithoutCorruption) {
       ++i;
     }
   });
-  std::thread evict_limit([&] {
+  std::thread evict_budget([&] {
     while (!stop.load()) {
-      sharded.EvictToResidencyLimit(2);
+      sharded.EvictToResidentBytes(budget);
     }
   });
 
@@ -133,7 +126,7 @@ TEST(TsanStressTest, MultipliesRaceEvictionWithoutCorruption) {
   left.join();
   stop.store(true);
   evict_one.join();
-  evict_limit.join();
+  evict_budget.join();
 
   EXPECT_EQ(mismatches.load(), 0);
 }
@@ -142,7 +135,7 @@ TEST(TsanStressTest, PooledMultiplyRacesEviction) {
   // Same race, but the kernels themselves fan shards out on a pool, so
   // eviction interleaves with ParallelFor workers touching the shards.
   DenseMatrix dense = StressMatrix();
-  std::string dir = StoreDir("pooled_vs_evict");
+  std::string dir = ScratchPath("pooled_vs_evict");
   MatrixStore::Partition(dense, "gcm:re_32", {.shards = 5}, dir);
   AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
   const ShardedMatrix& sharded = Sharded(m);
@@ -155,6 +148,8 @@ TEST(TsanStressTest, PooledMultiplyRacesEviction) {
   std::vector<double> want(dense.rows());
   m.MultiplyRightInto(x, want, MulContext{});
   ASSERT_TRUE(NearlyEqual(want, dense.MultiplyRight(x)));
+  // About one shard's footprint (every shard is resident here).
+  const u64 budget = sharded.ShardResidencyInfo(0).resident_bytes;
 
   std::atomic<bool> stop{false};
   std::atomic<int> mismatches{0};
@@ -162,7 +157,7 @@ TEST(TsanStressTest, PooledMultiplyRacesEviction) {
     std::size_t i = 0;
     while (!stop.load()) {
       sharded.EvictShard(i % sharded.shard_count());
-      sharded.EvictToResidencyLimit(1);
+      sharded.EvictToResidentBytes(budget);
       ++i;
     }
   });
@@ -178,7 +173,7 @@ TEST(TsanStressTest, PooledMultiplyRacesEviction) {
 
 TEST(TsanStressTest, ConcurrentLazyFirstTouchLoads) {
   DenseMatrix dense = StressMatrix();
-  std::string dir = StoreDir("first_touch");
+  std::string dir = ScratchPath("first_touch");
   MatrixStore::Partition(dense, "csr", {.shards = 8}, dir);
 
   std::vector<double> x = RandomVector(dense.cols(), 11);
