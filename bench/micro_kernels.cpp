@@ -175,7 +175,7 @@ BENCHMARK(BM_MvmLeftRe32)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MvmLeftReIv)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MvmLeftReAns)->Unit(benchmark::kMicrosecond);
 
-// Multi-vector kernels at the batching server's grain (k = 16): one
+// Multi-vector kernels at k = 16 (the engine's MultiplyRightMulti): one
 // grammar expansion serves 16 vectors, so the kb-wide accumulate loops
 // (simd::Add / simd::Axpy) dominate -- these are the rows the SIMD gate
 // watches most closely.

@@ -1,23 +1,14 @@
 // Tail-latency load harness for the networked serving subsystem.
 //
 // Closed-loop generator: --connections client threads, each keeping
-// --depth pipelined requests in flight on its own connection (the window
-// is what gives the server's batching window something to coalesce), for
+// --depth pipelined requests in flight on its own connection, for
 // --requests requests per connection. Per-request latency is measured
 // from send to reply-frame read; the run reports p50/p95/p99 and
 // throughput, appended as tidy rows to --csv for the bench_gate artifact
 // comparison (serve_latency.csv in CI).
 //
-// --batching both runs the same workload against an unbatched and a
-// batched server and asserts the batched run did not regress: throughput
-// within --slack of unbatched at a p99 no worse than 1/slack. On the
-// single-core CI container batching is roughly throughput-neutral (one
-// kernel invocation either way); the measured ratio is recorded in the
-// CSV as an informational row so multi-core runs show the actual gain.
-//
 // Query mixes (--mix): right | left | range | mixed (per-request
-// round-robin over all three; range requests share one fixed row window
-// so they can batch with each other).
+// round-robin over all three; range requests share one fixed row window).
 //
 // Topologies (--topology): local serves --spec directly; cluster serves
 // the same matrix through a coordinator that scatters every request over
@@ -47,9 +38,6 @@ struct LoadResult {
   double p95_sec = 0;
   double p99_sec = 0;
   double throughput_rps = 0;
-  u64 replies = 0;
-  u64 batched_requests = 0;
-  u64 max_batch = 0;
 };
 
 double Percentile(const std::vector<double>& sorted, double q) {
@@ -127,11 +115,8 @@ void RunConnection(u16 port, const std::string& mix, std::size_t requests,
 }
 
 LoadResult RunLoad(const DenseMatrix& dense, const AnyMatrix& matrix,
-                   bool batching, const CliParser& cli) {
+                   const CliParser& cli) {
   ServerConfig config;
-  config.batching = batching;
-  config.batch_max = static_cast<std::size_t>(cli.GetInt("batch_max"));
-  config.batch_window_ms = cli.GetDouble("batch_window_ms");
   config.max_connections =
       static_cast<std::size_t>(cli.GetInt("connections")) + 8;
   Server server(matrix, config);
@@ -156,7 +141,6 @@ LoadResult RunLoad(const DenseMatrix& dense, const AnyMatrix& matrix,
   }
   for (auto& t : threads) t.join();
   double wall_sec = wall.Seconds();
-  ServerStats stats = server.stats();
   server.Stop();
 
   for (const std::string& error : errors) {
@@ -175,20 +159,15 @@ LoadResult RunLoad(const DenseMatrix& dense, const AnyMatrix& matrix,
   result.p95_sec = Percentile(all, 0.95);
   result.p99_sec = Percentile(all, 0.99);
   result.throughput_rps = static_cast<double>(all.size()) / wall_sec;
-  result.replies = stats.replies_sent;
-  result.batched_requests = stats.batched_requests;
-  result.max_batch = stats.max_batch;
   return result;
 }
 
 void Report(bench::CsvAppender* csv, const std::string& mix,
             const std::string& config, const LoadResult& r) {
   std::printf("%-8s %-16s p50 %9.3f us  p95 %9.3f us  p99 %9.3f us  "
-              "%10.0f req/s  (batched %llu, max batch %llu)\n",
+              "%10.0f req/s\n",
               mix.c_str(), config.c_str(), r.p50_sec * 1e6, r.p95_sec * 1e6,
-              r.p99_sec * 1e6, r.throughput_rps,
-              static_cast<unsigned long long>(r.batched_requests),
-              static_cast<unsigned long long>(r.max_batch));
+              r.p99_sec * 1e6, r.throughput_rps);
   csv->Row("serve_load", mix, config, "p50_sec", r.p50_sec);
   csv->Row("serve_load", mix, config, "p95_sec", r.p95_sec);
   csv->Row("serve_load", mix, config, "p99_sec", r.p99_sec);
@@ -203,11 +182,6 @@ int Main(int argc, char** argv) {
   cli.AddFlag("requests", "200", "requests per connection");
   cli.AddFlag("depth", "4", "pipelined requests in flight per connection");
   cli.AddFlag("mix", "mixed", "query mix: right | left | range | mixed");
-  cli.AddFlag("batching", "both",
-              "server batching: on | off | both (both asserts the batched "
-              "run does not regress)");
-  cli.AddFlag("batch_max", "16", "server batch size cap");
-  cli.AddFlag("batch_window_ms", "0.25", "server batching window");
   cli.AddFlag("rows", "512", "served matrix rows");
   cli.AddFlag("cols", "96", "served matrix cols");
   cli.AddFlag("spec", "sharded?inner=csr&shards=4",
@@ -219,9 +193,6 @@ int Main(int argc, char** argv) {
   cli.AddFlag("workers", "2", "worker servers in the cluster topology");
   cli.AddFlag("replicas", "1",
               "replica endpoints per row range in the cluster topology");
-  cli.AddFlag("slack", "0.7",
-              "batched-vs-unbatched tolerance: throughput >= slack * "
-              "unbatched and p99 <= unbatched / slack");
   cli.AddFlag("csv", "",
               "append tidy result rows (bench,dataset,config,metric,value) "
               "to this CSV file");
@@ -231,10 +202,6 @@ int Main(int argc, char** argv) {
   GCM_CHECK_MSG(mix == "right" || mix == "left" || mix == "range" ||
                     mix == "mixed",
                 "unknown --mix: " << mix);
-  const std::string batching = cli.GetString("batching");
-  GCM_CHECK_MSG(batching == "on" || batching == "off" || batching == "both",
-                "unknown --batching: " << batching);
-
   const std::string topology = cli.GetString("topology");
   GCM_CHECK_MSG(topology == "local" || topology == "cluster" ||
                     topology == "both",
@@ -246,49 +213,18 @@ int Main(int argc, char** argv) {
                           static_cast<std::size_t>(cli.GetInt("cols")), 0.3,
                           5, &rng);
   bench::CsvAppender csv(cli);
-  const std::string suffix = "_c" + cli.GetString("connections");
+  const std::string conns = "c" + cli.GetString("connections");
 
-  // Runs the batched/unbatched matrix (the batching comparison holds per
-  // topology: the coordinator's window coalesces scatter fan-outs the same
-  // way a worker's coalesces kernel calls). Returns the result the
-  // cross-topology comparison uses: the batched run when one happened.
+  // One load run per topology; its CSV config key is the topology prefix
+  // plus the connection count (e.g. c8, cluster_c8).
   auto run_topology = [&](const AnyMatrix& matrix,
                           const std::string& topo_prefix) -> LoadResult {
     bench::PrintHeader("serve_load: " + matrix.FormatTag() + ", " +
                        cli.GetString("connections") + " connections x " +
                        cli.GetString("requests") + " requests, mix=" + mix);
-    LoadResult off;
-    LoadResult on;
-    if (batching == "off" || batching == "both") {
-      off = RunLoad(dense, matrix, /*batching=*/false, cli);
-      Report(&csv, mix, topo_prefix + "batching_off" + suffix, off);
-    }
-    if (batching == "on" || batching == "both") {
-      on = RunLoad(dense, matrix, /*batching=*/true, cli);
-      Report(&csv, mix, topo_prefix + "batching_on" + suffix, on);
-    }
-    if (batching == "both") {
-      double slack = cli.GetDouble("slack");
-      double throughput_ratio = on.throughput_rps / off.throughput_rps;
-      double p99_ratio = on.p99_sec / off.p99_sec;
-      csv.Row("serve_load", mix, topo_prefix + "batched_vs_unbatched",
-              "throughput_ratio", throughput_ratio);
-      csv.Row("serve_load", mix, topo_prefix + "batched_vs_unbatched",
-              "p99_ratio", p99_ratio);
-      std::printf("batched vs unbatched: throughput x%.2f, p99 x%.2f "
-                  "(slack %.2f)\n",
-                  throughput_ratio, p99_ratio, slack);
-      GCM_CHECK_MSG(on.batched_requests > 0,
-                    "batching run never coalesced a batch; the load window "
-                    "(--depth) is too shallow to test batching");
-      GCM_CHECK_MSG(throughput_ratio >= slack,
-                    "batched throughput regressed: x"
-                        << throughput_ratio << " < slack " << slack);
-      GCM_CHECK_MSG(p99_ratio <= 1.0 / slack,
-                    "batched p99 regressed: x" << p99_ratio << " > "
-                                               << 1.0 / slack);
-    }
-    return batching == "off" ? off : on;
+    LoadResult result = RunLoad(dense, matrix, cli);
+    Report(&csv, mix, topo_prefix + conns, result);
+    return result;
   };
 
   LoadResult local_result;
@@ -317,9 +253,9 @@ int Main(int argc, char** argv) {
     double throughput_ratio =
         cluster_result.throughput_rps / local_result.throughput_rps;
     double p99_ratio = cluster_result.p99_sec / local_result.p99_sec;
-    csv.Row("serve_load", mix, "scatter_vs_local" + suffix,
+    csv.Row("serve_load", mix, "scatter_vs_local_" + conns,
             "throughput_ratio", throughput_ratio);
-    csv.Row("serve_load", mix, "scatter_vs_local" + suffix, "p99_ratio",
+    csv.Row("serve_load", mix, "scatter_vs_local_" + conns, "p99_ratio",
             p99_ratio);
     std::printf("scatter vs local: throughput x%.2f, p99 x%.2f\n",
                 throughput_ratio, p99_ratio);

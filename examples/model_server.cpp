@@ -5,7 +5,7 @@
 //                    [--spec gcm:re_ans] [--snapshot model.gcsnap]
 //                    [--store store_dir] [--shards 8]
 //                    [--max-resident-bytes 1048576] [--port 0] [--serve]
-//                    [--batching true] [--eager]
+//                    [--eager]
 //
 // The paper's introduction motivates compression for ML model/data storage
 // and for the bandwidth of server-to-client transmission. This example
@@ -19,10 +19,10 @@
 // checkable: the load phase must report 0 grammar constructions.
 //
 // The loaded matrix is then served by a Server (TCP, length-prefixed
-// frames, request batching). By default the example is its own client: it
-// connects over loopback, pipelines scoring requests (which is what gives
-// the batching window something to coalesce), checks the replies against
-// the locally computed scores, and prints the server's batching counters.
+// frames, one kernel call per request). By default the example is its own
+// client: it connects over loopback, pipelines scoring requests, checks
+// the replies against the locally computed scores, and prints the
+// server's counters.
 // With --serve it stays up instead, for an external client:
 //
 //   $ ./model_server --store store_dir --port 7070 --serve
@@ -109,16 +109,14 @@ double RunClientDemo(const AnyMatrix& served, u16 port,
                      std::size_t batches) {
   Client client = Client::Connect("127.0.0.1", port);
   ServerInfo info = client.Info();
-  std::printf("connected: serving %s, %llux%llu, %s compressed, "
-              "batching=%s\n",
+  std::printf("connected: serving %s, %llux%llu, %s compressed\n",
               info.format_tag.c_str(),
               static_cast<unsigned long long>(info.rows),
               static_cast<unsigned long long>(info.cols),
-              FormatBytes(info.compressed_bytes).c_str(),
-              info.batching != 0 ? "on" : "off");
+              FormatBytes(info.compressed_bytes).c_str());
 
   Rng rng(777);
-  const std::size_t depth = 4;  // pipelined window: batching fodder
+  const std::size_t depth = 4;  // pipelined requests in flight
   struct InFlight {
     u64 id;
     std::vector<double> weights;
@@ -219,14 +217,11 @@ int main(int argc, char** argv) {
   cli.AddFlag("shards", "8", "shard count when partitioning a new store");
   cli.AddFlag("max-resident-bytes", "0",
               "evict least-recently-used shards until their resident bytes "
-              "fit this budget after every batch (0 = unlimited)");
+              "fit this budget after every request (0 = unlimited)");
   cli.AddFlag("port", "0", "TCP port to serve on (0 = ephemeral)");
   cli.AddFlag("serve", "false",
               "stay up for external clients instead of running the "
               "loopback demo");
-  cli.AddFlag("batching", "true", "coalesce compatible requests");
-  cli.AddFlag("batch-max", "16", "requests per coalesced kernel call");
-  cli.AddFlag("batch-window-ms", "0.25", "how long a batch waits to fill");
   cli.AddFlag("build-threads", "1",
               "worker pool for shard-parallel construction when the "
               "artifact must be built (1 = sequential, 0 = all hardware "
@@ -294,9 +289,6 @@ int main(int argc, char** argv) {
     }
     ServerConfig config;
     config.port = static_cast<u16>(cli.GetInt("port"));
-    config.batching = cli.GetBool("batching");
-    config.batch_max = static_cast<std::size_t>(cli.GetInt("batch-max"));
-    config.batch_window_ms = cli.GetDouble("batch-window-ms");
     Server server(served, config);
     server.Start();
     std::printf("coordinating on 127.0.0.1:%u\n",
@@ -414,13 +406,10 @@ int main(int argc, char** argv) {
   }
 
   // ---- Network side: the loaded matrix goes straight behind the server
-  // (the same compressed representation answers every request; batching
-  // coalesces compatible pipelined requests into one multi-vector call).
+  // (the same compressed representation answers every request, one
+  // single-vector kernel call each).
   ServerConfig config;
   config.port = static_cast<u16>(cli.GetInt("port"));
-  config.batching = cli.GetBool("batching");
-  config.batch_max = static_cast<std::size_t>(cli.GetInt("batch-max"));
-  config.batch_window_ms = cli.GetDouble("batch-window-ms");
   config.max_resident_bytes =
       static_cast<u64>(cli.GetInt("max-resident-bytes"));
   Server server(served, config);
@@ -441,12 +430,8 @@ int main(int argc, char** argv) {
       RunClientDemo(served, server.port(),
                     static_cast<std::size_t>(cli.GetInt("batches")));
   ServerStats stats = server.stats();
-  std::printf("server counters: %llu replies, %llu batches (max batch "
-              "%llu, %llu requests coalesced), %llu shard evictions\n",
+  std::printf("server counters: %llu replies, %llu shard evictions\n",
               static_cast<unsigned long long>(stats.replies_sent),
-              static_cast<unsigned long long>(stats.batches_dispatched),
-              static_cast<unsigned long long>(stats.max_batch),
-              static_cast<unsigned long long>(stats.batched_requests),
               static_cast<unsigned long long>(stats.shard_evictions));
   if (sharded != nullptr && config.max_resident_bytes > 0) {
     std::printf("residency cap %s: %zu shards resident at shutdown\n",

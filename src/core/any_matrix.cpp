@@ -823,8 +823,8 @@ std::vector<double> AnyMatrix::MultiplyLeft(std::span<const double> y,
 // Default multi-vector kernels: one sequential single-vector call per input
 // vector. Deliberately *not* pool-parallel across vectors -- forwarding the
 // context unchanged keeps vector j's result bitwise identical to the same
-// single-vector call the batching server would have issued without
-// coalescing, which is the contract its correctness tests pin down.
+// single-vector call on input j, which is the contract the conformance
+// suite pins down.
 void IMatrixKernel::MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
                                        const MulContext& ctx) const {
   const std::size_t k = x.cols();

@@ -110,10 +110,9 @@ class IMatrixKernel {
   /// The defaults loop the single-vector *Into kernels one input vector at
   /// a time; backends that can amortize work across vectors (the grammar
   /// family shares one expansion of C and R for all k columns, sharded
-  /// matrices scatter whole batches) override them. Contract the batching
-  /// server relies on: vector j of the result is bitwise identical to a
-  /// sequential single-vector call on input j, so coalescing requests
-  /// never changes anyone's answer.
+  /// matrices scatter whole batches) override them. Contract: vector j of
+  /// the result is bitwise identical to a sequential single-vector call on
+  /// input j, so a caller may group vectors without changing any answer.
   virtual void MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
                                   const MulContext& ctx) const;
   virtual void MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
@@ -264,9 +263,8 @@ class AnyMatrix {
   std::vector<double> MultiplyLeft(std::span<const double> y,
                                    const MulContext& ctx = {}) const;
 
-  /// Multi-vector kernels (the batching server's execution grain): one
-  /// call answers k requests, amortizing grammar expansion across the
-  /// batch. Right: X is cols x k, result rows x k. Left: X is k x rows,
+  /// Multi-vector kernels: one call answers k input vectors, amortizing
+  /// grammar expansion across them. Right: X is cols x k, result rows x k. Left: X is k x rows,
   /// result k x cols. Vector j of the result is bitwise identical to the
   /// corresponding sequential single-vector call.
   DenseMatrix MultiplyRightMulti(const DenseMatrix& x,

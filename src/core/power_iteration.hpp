@@ -5,9 +5,14 @@
 // i.e. alternating right and left multiplications with an infinity-norm
 // rescale, mimicking the inner loop of conjugate-gradient style solvers.
 // The driver is generic over every backend through the AnyMatrix engine
-// API: the three iteration vectors are allocated once and the loop runs
-// exclusively on the allocation-free *Into kernels, so the measured peak
-// is the compressed matrix plus auxiliary arrays -- not allocator churn.
+// API: the three iteration vectors are allocated once and the loop calls
+// only the *Into kernels. Those do not allocate for dense / csr / csrv,
+// but the grammar backends do: GcMatrix::Multiply*Into heap-allocates a
+// rule_count-sized W on every call (plus per-chunk partials when pooled),
+// blocked matrices add one cols-sized partial per block on the left, and
+// sharded left multiplies one partial per shard. The measured peak is the
+// compressed matrix plus those per-call arrays; ROADMAP item 4 moves them
+// into a caller-owned workspace.
 #pragma once
 
 #include <cstddef>

@@ -7,9 +7,7 @@
 //   * Pipelined: SendMvmRight / SendMvmLeft / ... return a request id
 //     immediately; Await(id) blocks until that id's reply arrives,
 //     buffering any other replies read along the way. This is how the
-//     load generator keeps several requests in flight per connection --
-//     which is also what gives the server's batching window something to
-//     coalesce.
+//     load generator keeps several requests in flight per connection.
 //
 // A Client is deliberately single-threaded (no internal locking): one
 // connection belongs to one thread. Run more threads with one Client each

@@ -189,13 +189,7 @@ void ServerInfo::EncodeTo(ByteWriter* out) const {
   out->PutVarint(compressed_bytes);
   out->PutVarint(shard_count);
   out->PutVarint(resident_shards);
-  out->Put<u8>(batching);
-  out->PutVarint(batch_max);
-  out->Put<double>(batch_window_ms);
   out->PutVarint(requests_served);
-  out->PutVarint(batches_dispatched);
-  out->PutVarint(batched_requests);
-  out->PutVarint(max_batch);
   out->PutVarint(errors_sent);
 }
 
@@ -207,13 +201,7 @@ ServerInfo ServerInfo::DecodeFrom(ByteReader* in) {
   info.compressed_bytes = in->GetVarint();
   info.shard_count = in->GetVarint();
   info.resident_shards = in->GetVarint();
-  info.batching = in->Get<u8>();
-  info.batch_max = in->GetVarint();
-  info.batch_window_ms = in->Get<double>();
   info.requests_served = in->GetVarint();
-  info.batches_dispatched = in->GetVarint();
-  info.batched_requests = in->GetVarint();
-  info.max_batch = in->GetVarint();
   info.errors_sent = in->GetVarint();
   CheckFullyConsumed(*in, "ServerInfo");
   return info;

@@ -45,7 +45,9 @@ namespace gcm {
 
 /// "GCNP" little-endian: GCm Network Protocol.
 inline constexpr u32 kNetMagic = 0x504e4347u;
-inline constexpr u16 kNetProtocolVersion = 1;
+/// Version 2 dropped the batching fields from ServerInfo; a version-1
+/// peer gets kBadVersion from the frame header, never a body decode error.
+inline constexpr u16 kNetProtocolVersion = 2;
 
 /// Hard cap on a frame payload (64 MiB) -- an admission bound, not a
 /// correctness bound: a hostile length field must not drive allocation.
@@ -185,8 +187,7 @@ struct MvmReply {
   static MvmReply DecodeFrom(ByteReader* in);
 };
 
-/// InfoReply body: identity plus serving counters (a monitoring surface,
-/// and how the load harness asserts batching actually happened).
+/// InfoReply body: identity plus serving counters (a monitoring surface).
 struct ServerInfo {
   std::string format_tag;
   u64 rows = 0;
@@ -194,13 +195,7 @@ struct ServerInfo {
   u64 compressed_bytes = 0;
   u64 shard_count = 0;       ///< 0 for unsharded backends
   u64 resident_shards = 0;   ///< == shard_count when unsharded or all hot
-  u8 batching = 0;
-  u64 batch_max = 0;
-  double batch_window_ms = 0.0;
   u64 requests_served = 0;
-  u64 batches_dispatched = 0;
-  u64 batched_requests = 0;  ///< requests answered via a batch of size >= 2
-  u64 max_batch = 0;
   u64 errors_sent = 0;
 
   void EncodeTo(ByteWriter* out) const;

@@ -6,13 +6,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
-#include "matrix/dense_matrix.hpp"
 #include "serving/sharded_matrix.hpp"
 #include "util/thread_pool.hpp"
 
@@ -28,7 +25,6 @@ struct Server::Connection {
 Server::Server(AnyMatrix matrix, ServerConfig config)
     : matrix_(std::move(matrix)), config_(std::move(config)) {
   GCM_CHECK_MSG(matrix_.valid(), "Server needs a valid matrix");
-  GCM_CHECK_MSG(config_.batch_max >= 1, "batch_max must be >= 1");
   GCM_CHECK_MSG(config_.admission_queue_limit >= 1,
                 "admission_queue_limit must be >= 1");
   sharded_ = ShardedMatrix::FromKernel(matrix_.kernel());
@@ -83,7 +79,7 @@ void Server::Stop() {
   queue_cv_.notify_all();
 
   // The dispatcher exits at the top of its loop (after finishing any
-  // in-flight batch).
+  // in-flight request).
   if (dispatcher_thread_.joinable()) dispatcher_thread_.join();
 
   // Shutdown (not close) wakes the blocked ::accept; the fd is closed
@@ -166,14 +162,8 @@ ServerInfo Server::Info() const {
     info.shard_count = sharded_->shard_count();
     info.resident_shards = sharded_->LoadedShardCount();
   }
-  info.batching = config_.batching ? 1 : 0;
-  info.batch_max = config_.batch_max;
-  info.batch_window_ms = config_.batch_window_ms;
   ServerStats snapshot = stats();
   info.requests_served = snapshot.replies_sent;
-  info.batches_dispatched = snapshot.batches_dispatched;
-  info.batched_requests = snapshot.batched_requests;
-  info.max_batch = snapshot.max_batch;
   info.errors_sent = snapshot.errors_sent;
   return info;
 }
@@ -415,48 +405,21 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
 }
 
 // ---------------------------------------------------------------------------
-// Dispatcher / batching core
+// Dispatcher
 // ---------------------------------------------------------------------------
 
 void Server::DispatcherLoop() {
   for (;;) {
-    std::vector<PendingMvm> batch;
+    PendingMvm pending;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock,
                      [&] { return stopping_ || (!paused_ && !queue_.empty()); });
       if (stopping_) return;  // Stop() answers what is left in the queue
-      batch.push_back(std::move(queue_.front()));
+      pending = std::move(queue_.front());
       queue_.pop_front();
-      if (config_.batching && config_.batch_max > 1) {
-        // Pull compatible requests off the queue front until the batch is
-        // full or the window closes. Only the head is ever taken, so
-        // admission order is preserved. The window is waited out only
-        // while the queue is idle: an incompatible request reaching the
-        // head flushes the batch immediately, so coalescing never delays
-        // unrelated work behind it.
-        auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<
-                            std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double, std::milli>(
-                                config_.batch_window_ms));
-        bool flush = false;
-        while (batch.size() < config_.batch_max && !stopping_ && !flush) {
-          if (!queue_.empty()) {
-            if (Compatible(batch.front(), queue_.front())) {
-              batch.push_back(std::move(queue_.front()));
-              queue_.pop_front();
-            } else {
-              flush = true;  // incompatible head: dispatch now, keep it queued
-            }
-            continue;
-          }
-          flush =
-              queue_cv_.wait_until(lock, deadline) == std::cv_status::timeout;
-        }
-      }
     }
-    ExecuteBatch(batch);
+    Execute(pending);
     if (sharded_ != nullptr && config_.max_resident_bytes > 0) {
       std::size_t evicted =
           sharded_->EvictToResidentBytes(config_.max_resident_bytes);
@@ -468,117 +431,56 @@ void Server::DispatcherLoop() {
   }
 }
 
-void Server::ExecuteBatch(std::vector<PendingMvm>& batch) {
-  const std::size_t k = batch.size();
+void Server::Execute(PendingMvm& pending) {
   const MulContext ctx{pool_.get()};
-  std::vector<std::vector<double>> results(k);
+  const std::size_t begin = pending.row_begin;
+  const std::size_t end = pending.row_end;
+  const bool full = begin == 0 && end == matrix_.rows();
+  std::vector<double> result;
   try {
-    if (batch[0].right) {
-      const std::size_t begin = batch[0].row_begin;
-      const std::size_t end = batch[0].row_end;
-      const std::size_t out_rows = end - begin;
-      const bool full = begin == 0 && end == matrix_.rows();
-      if (k == 1) {
-        if (full) {
-          results[0] = matrix_.MultiplyRight(batch[0].x, ctx);
-        } else if (sharded_ != nullptr) {
-          // Admission-aware touch: only shards overlapping the range are
-          // faulted in, so a residency-limited store stays bounded.
-          results[0].resize(out_rows);
-          sharded_->MultiplyRightRangeInto(batch[0].x, results[0], begin, end,
-                                           ctx);
-        } else {
-          std::vector<double> y = matrix_.MultiplyRight(batch[0].x, ctx);
-          results[0].assign(y.begin() + static_cast<std::ptrdiff_t>(begin),
-                            y.begin() + static_cast<std::ptrdiff_t>(end));
-        }
-      } else {
-        DenseMatrix x(matrix_.cols(), k);
-        for (std::size_t j = 0; j < k; ++j) {
-          for (std::size_t c = 0; c < matrix_.cols(); ++c) {
-            x.Set(c, j, batch[j].x[c]);
-          }
-        }
-        DenseMatrix y;
-        std::size_t offset = 0;
-        if (!full && sharded_ != nullptr) {
-          y = sharded_->MultiplyRightRangeMulti(x, begin, end, ctx);
-        } else {
-          y = matrix_.MultiplyRightMulti(x, ctx);
-          offset = begin;  // slice the requested rows out of the full result
-        }
-        for (std::size_t j = 0; j < k; ++j) {
-          results[j].resize(out_rows);
-          for (std::size_t r = 0; r < out_rows; ++r) {
-            results[j][r] = y.At(offset + r, j);
-          }
-        }
-      }
+    if (full) {
+      result = pending.right ? matrix_.MultiplyRight(pending.x, ctx)
+                             : matrix_.MultiplyLeft(pending.x, ctx);
+    } else if (pending.right && sharded_ != nullptr) {
+      // Admission-aware touch: only shards overlapping the range are
+      // faulted in, so a residency-limited store stays bounded.
+      result.resize(end - begin);
+      sharded_->MultiplyRightRangeInto(pending.x, result, begin, end, ctx);
+    } else if (pending.right) {
+      std::vector<double> y = matrix_.MultiplyRight(pending.x, ctx);
+      result.assign(y.begin() + static_cast<std::ptrdiff_t>(begin),
+                    y.begin() + static_cast<std::ptrdiff_t>(end));
     } else {
-      const std::size_t begin = batch[0].row_begin;
-      const std::size_t end = batch[0].row_end;
-      const std::size_t in_rows = end - begin;
-      const bool full = begin == 0 && end == matrix_.rows();
-      if (k == 1) {
-        if (full) {
-          results[0] = matrix_.MultiplyLeft(batch[0].x, ctx);
-        } else {
-          // HandleFrame admits ranged lefts only when sharded_ != nullptr
-          // and the range is shard-aligned.
-          results[0].resize(matrix_.cols());
-          sharded_->MultiplyLeftRangeInto(batch[0].x, results[0], begin, end,
-                                          ctx);
-        }
-      } else {
-        DenseMatrix x(k, in_rows);
-        for (std::size_t j = 0; j < k; ++j) {
-          for (std::size_t r = 0; r < in_rows; ++r) {
-            x.Set(j, r, batch[j].x[r]);
-          }
-        }
-        DenseMatrix y = full ? matrix_.MultiplyLeftMulti(x, ctx)
-                             : sharded_->MultiplyLeftRangeMulti(x, begin, end,
-                                                                ctx);
-        for (std::size_t j = 0; j < k; ++j) {
-          results[j].resize(matrix_.cols());
-          for (std::size_t c = 0; c < matrix_.cols(); ++c) {
-            results[j][c] = y.At(j, c);
-          }
-        }
-      }
+      // HandleFrame admits ranged lefts only when sharded_ != nullptr and
+      // the range is shard-aligned.
+      result.resize(matrix_.cols());
+      sharded_->MultiplyLeftRangeInto(pending.x, result, begin, end, ctx);
     }
   } catch (const RpcError& e) {
     // A named request-level failure (the cluster layer classifying a
     // scatter failure): forward the code so clients see no_replica /
     // deadline_exceeded instead of a generic internal error.
-    for (const PendingMvm& pending : batch) {
-      SendErrorTo(*pending.conn, pending.request_id, e.code(), e.what());
-    }
+    SendErrorTo(*pending.conn, pending.request_id, e.code(), e.what());
     return;
   } catch (const std::exception& e) {
-    for (const PendingMvm& pending : batch) {
-      SendErrorTo(*pending.conn, pending.request_id, NetError::kInternal,
-                  e.what());
-    }
+    SendErrorTo(*pending.conn, pending.request_id, NetError::kInternal,
+                e.what());
     return;
   }
 
-  // Counters first, replies second: a client that pipelines a health
-  // probe behind an MVM reply must observe its request counted (the
-  // probe cannot arrive before the reply frame it chases).
+  // Counters first, reply second: a client that pipelines a health probe
+  // behind an MVM reply must observe its request counted (the probe
+  // cannot arrive before the reply frame it chases).
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.batches_dispatched;
-    if (k >= 2) stats_.batched_requests += k;
-    stats_.max_batch = std::max<u64>(stats_.max_batch, k);
-    stats_.replies_sent += k;
+    stats_.max_batch = 1;
+    ++stats_.replies_sent;
   }
-  for (std::size_t j = 0; j < k; ++j) {
-    ByteWriter out;
-    MvmReply{std::move(results[j])}.EncodeTo(&out);
-    SendFrameTo(*batch[j].conn, MsgType::kMvmReply, batch[j].request_id,
-                out.buffer());
-  }
+  ByteWriter out;
+  MvmReply{std::move(result)}.EncodeTo(&out);
+  SendFrameTo(*pending.conn, MsgType::kMvmReply, pending.request_id,
+              out.buffer());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-// Async MVM server: TCP accept loop + bounded admission queue + batching.
+// Async MVM server: TCP accept loop + bounded admission queue + one
+// dispatcher thread.
 //
 // Serving architecture (one process, one matrix, N connections):
 //
@@ -8,26 +9,20 @@
 //                 bounded admission queue        (kQueueFull when over)
 //                        |
 //                        v
-//                 dispatcher thread: takes the oldest request, then keeps
-//                 pulling *compatible* requests (same direction + row
-//                 range) from the queue front until batch_max is reached
-//                 or batch_window_ms elapses, executes the batch as ONE
-//                 MultiplyRightMulti / MultiplyLeftMulti call, and
-//                 scatters one MvmReply per request
+//                 dispatcher thread: takes the oldest request, executes
+//                 it as ONE single-vector kernel call (MultiplyRight /
+//                 MultiplyLeft, or the shard-range form), and sends its
+//                 MvmReply
 //
-// Batching changes throughput, never answers: vector j of a multi-vector
-// kernel is bitwise identical to the sequential single-vector call (the
-// engine contract in core/any_matrix.hpp), so a request's reply does not
-// depend on who it shared a batch with. Only the queue head is ever
-// pulled into a batch, so requests dispatch in admission order; the
-// window is waited out only while the queue is idle -- an incompatible
-// request reaching the head flushes the batch immediately, so coalescing
-// never delays unrelated work behind it.
+// Requests dispatch in admission order, one kernel call each, so a reply
+// is bitwise identical to the same local call on the served matrix. A
+// pipelining client overlaps its network round trips, not its kernels.
 //
 // Residency: when the matrix is sharded and max_resident_bytes is set,
 // the dispatcher evicts least-recently-used shards back under the byte
-// budget after every batch, so a row-range workload over a big store serves from
-// a bounded working set (range requests only fault in overlapping shards).
+// budget after every request, so a row-range workload over a big store
+// serves from a bounded working set (range requests only fault in
+// overlapping shards).
 #pragma once
 
 #include <atomic>
@@ -53,10 +48,6 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   u16 port = 0;  ///< 0 = ephemeral; read the bound port via port()
 
-  bool batching = true;
-  std::size_t batch_max = 16;      ///< max requests per kernel call
-  double batch_window_ms = 0.25;   ///< how long a batch waits to fill
-
   std::size_t admission_queue_limit = 256;  ///< kQueueFull beyond this
   std::size_t max_connections = 64;
 
@@ -65,7 +56,7 @@ struct ServerConfig {
   std::size_t kernel_threads = 1;
 
   /// When > 0 and the matrix is sharded: evict LRU shards until their
-  /// resident bytes fit this budget after every batch (0 = never evict).
+  /// resident bytes fit this budget after every request (0 = never evict).
   u64 max_resident_bytes = 0;
 };
 
@@ -75,8 +66,11 @@ struct ServerStats {
   u64 requests_admitted = 0;
   u64 replies_sent = 0;
   u64 errors_sent = 0;
+  /// One dispatch per executed request, so max_batch <= 1 and
+  /// batched_requests == 0. Kept for readers of the old batch counters;
+  /// ROADMAP item 7 folds them into the metrics registry.
   u64 batches_dispatched = 0;
-  u64 batched_requests = 0;  ///< requests that shared a batch (size >= 2)
+  u64 batched_requests = 0;
   u64 max_batch = 0;
   u64 shard_evictions = 0;
 };
@@ -111,7 +105,7 @@ class Server {
   /// Admitted requests not yet taken by the dispatcher (test observable).
   std::size_t QueueDepth() const;
 
-  /// Holds the dispatcher before its next batch: admission keeps running
+  /// Holds the dispatcher before its next request: admission keeps running
   /// (up to admission_queue_limit, then kQueueFull) but nothing executes
   /// until ResumeDispatcher(). A maintenance valve -- e.g. swap shard
   /// files under a quiesced kernel -- and what makes the admission-control
@@ -142,17 +136,12 @@ class Server {
   void HandleFrame(const std::shared_ptr<Connection>& conn,
                    const Frame& frame);
   void DispatcherLoop();
-  void ExecuteBatch(std::vector<PendingMvm>& batch);
+  void Execute(PendingMvm& pending);
 
   void SendFrameTo(Connection& conn, MsgType type, u64 request_id,
                    std::span<const u8> payload);
   void SendErrorTo(Connection& conn, u64 request_id, NetError code,
                    const std::string& message);
-
-  static bool Compatible(const PendingMvm& a, const PendingMvm& b) {
-    return a.right == b.right && a.row_begin == b.row_begin &&
-           a.row_end == b.row_end;
-  }
 
   AnyMatrix matrix_;
   const ShardedMatrix* sharded_ = nullptr;  ///< non-null iff matrix is sharded
@@ -173,7 +162,7 @@ class Server {
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<PendingMvm> queue_;
-  bool paused_ = false;  ///< guarded by queue_mu_; gates new batch pops only
+  bool paused_ = false;  ///< guarded by queue_mu_; gates new pops only
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;

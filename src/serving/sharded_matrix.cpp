@@ -474,35 +474,6 @@ void ShardedMatrix::MultiplyRightRangeInto(std::span<const double> x,
   }
 }
 
-DenseMatrix ShardedMatrix::MultiplyRightRangeMulti(const DenseMatrix& x,
-                                                   std::size_t row_begin,
-                                                   std::size_t row_end,
-                                                   const MulContext& ctx) const {
-  GCM_CHECK_MSG(row_begin < row_end && row_end <= rows(),
-                "row range [" << row_begin << ", " << row_end
-                              << ") invalid for " << rows() << " rows");
-  GCM_CHECK_MSG(x.rows() == cols(), "range kernel: input has "
-                                        << x.rows() << " rows, expected "
-                                        << cols());
-  const std::size_t k = x.cols();
-  DenseMatrix y(row_end - row_begin, k);
-  // Batched analog of MultiplyRightRangeInto: untouched shards stay cold.
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    const ShardState& shard = *states_[i];
-    std::size_t begin = std::max(row_begin, shard.entry.row_begin);
-    std::size_t end = std::min(row_end, shard.entry.row_end);
-    if (begin >= end) continue;
-    AnyMatrix m = Acquire(shard);
-    DenseMatrix block = m.MultiplyRightMulti(x, ctx);
-    for (std::size_t r = begin; r < end; ++r) {
-      for (std::size_t j = 0; j < k; ++j) {
-        y.Set(r - row_begin, j, block.At(r - shard.entry.row_begin, j));
-      }
-    }
-  }
-  return y;
-}
-
 bool ShardedMatrix::RangeAlignedToShards(std::size_t row_begin,
                                          std::size_t row_end) const {
   if (row_begin >= row_end || row_end > rows()) return false;
@@ -553,46 +524,6 @@ void ShardedMatrix::MultiplyLeftRangeInto(std::span<const double> y,
       for (std::size_t c = 0; c < cols(); ++c) x[c] += partial[c];
     }
   }
-}
-
-DenseMatrix ShardedMatrix::MultiplyLeftRangeMulti(const DenseMatrix& x,
-                                                  std::size_t row_begin,
-                                                  std::size_t row_end,
-                                                  const MulContext& ctx) const {
-  GCM_CHECK_MSG(RangeAlignedToShards(row_begin, row_end),
-                "left range [" << row_begin << ", " << row_end
-                               << ") is not shard-aligned");
-  GCM_CHECK_MSG(x.cols() == row_end - row_begin,
-                "range kernel: input has " << x.cols()
-                                           << " columns, expected "
-                                           << row_end - row_begin);
-  const std::size_t k = x.rows();
-  DenseMatrix out(k, cols());
-  // Batched analog of MultiplyLeftRangeInto: first shard copies, later
-  // shards add, all in shard order; vector j of either is bitwise
-  // identical per the engine's multi contract.
-  bool first = true;
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    const ShardState& shard = *states_[i];
-    if (shard.entry.row_end <= row_begin || shard.entry.row_begin >= row_end) {
-      continue;
-    }
-    AnyMatrix m = Acquire(shard);
-    DenseMatrix slice(k, shard.entry.rows());
-    for (std::size_t j = 0; j < k; ++j) {
-      for (std::size_t c = 0; c < shard.entry.rows(); ++c) {
-        slice.Set(j, c, x.At(j, shard.entry.row_begin - row_begin + c));
-      }
-    }
-    DenseMatrix part = m.MultiplyLeftMulti(slice, ctx);
-    for (std::size_t j = 0; j < k; ++j) {
-      for (std::size_t c = 0; c < cols(); ++c) {
-        out.Set(j, c, first ? part.At(j, c) : out.At(j, c) + part.At(j, c));
-      }
-    }
-    first = false;
-  }
-  return out;
 }
 
 DenseMatrix ShardedMatrix::ToDense() const {

@@ -162,8 +162,7 @@ class ShardedMatrix final : public IMatrixKernel {
   void MultiplyLeftInto(std::span<const double> y, std::span<double> x,
                         const MulContext& ctx) const override;
 
-  /// Multi-vector kernels (the batching server's execution grain): the
-  /// whole batch scatters once per shard. Right: shard i computes its
+  /// Multi-vector kernels: the whole batch scatters once per shard. Right: shard i computes its
   /// rows x k block straight into the output rows it owns. Left: each
   /// shard contributes a k x cols partial, summed in shard order, so the
   /// reduction stays deterministic with and without a pool. Vector j of
@@ -177,17 +176,12 @@ class ShardedMatrix final : public IMatrixKernel {
   /// Row-range kernels -- the serving path's admission-aware shard touch:
   /// only shards overlapping [row_begin, row_end) are acquired, so a range
   /// query against a residency-limited store faults in exactly the shards
-  /// it needs. `y` holds row_end - row_begin entries (RangeInto); the
-  /// RangeMulti result is (row_end - row_begin) x k. Requires
+  /// it needs. `y` holds row_end - row_begin entries. Requires
   /// row_begin < row_end <= rows(). The full range is bitwise identical to
-  /// MultiplyRightInto / MultiplyRightMulti.
+  /// MultiplyRightInto.
   void MultiplyRightRangeInto(std::span<const double> x, std::span<double> y,
                               std::size_t row_begin, std::size_t row_end,
                               const MulContext& ctx = {}) const;
-  DenseMatrix MultiplyRightRangeMulti(const DenseMatrix& x,
-                                      std::size_t row_begin,
-                                      std::size_t row_end,
-                                      const MulContext& ctx = {}) const;
 
   /// True when [row_begin, row_end) is a valid range that starts on some
   /// shard's first row and ends on some shard's last row -- the ranges a
@@ -206,13 +200,6 @@ class ShardedMatrix final : public IMatrixKernel {
   void MultiplyLeftRangeInto(std::span<const double> y, std::span<double> x,
                              std::size_t row_begin, std::size_t row_end,
                              const MulContext& ctx = {}) const;
-
-  /// Batched analog: x is k x (row_end - row_begin), result is k x cols,
-  /// vector j bitwise identical to MultiplyLeftRangeInto on row j of x.
-  DenseMatrix MultiplyLeftRangeMulti(const DenseMatrix& x,
-                                     std::size_t row_begin,
-                                     std::size_t row_end,
-                                     const MulContext& ctx = {}) const;
 
   DenseMatrix ToDense() const override;
 

@@ -120,10 +120,9 @@ TEST_P(EngineConformanceTest, PoolAndNoPoolAgree) {
 }
 
 TEST_P(EngineConformanceTest, MultiVectorMatchesSequentialBitwise) {
-  // The batching server coalesces k single-vector requests into one
-  // MultiplyRightMulti / MultiplyLeftMulti call; its correctness argument
-  // is exactly this contract: vector j of the multi-vector result is
-  // BITWISE identical to the sequential single-vector call on input j.
+  // The multi-vector contract every backend keeps: vector j of the
+  // MultiplyRightMulti / MultiplyLeftMulti result is BITWISE identical to
+  // the sequential single-vector call on input j.
   DenseMatrix dense = TestMatrix();
   AnyMatrix m = AnyMatrix::Build(dense, GetParam());
   Rng rng(80);

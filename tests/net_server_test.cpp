@@ -1,7 +1,7 @@
 // Serving subsystem suite over a real loopback socket: server lifecycle,
 // request/reply correctness against the local engine oracle (bitwise),
-// batching correctness (batched replies identical to sequential unbatched
-// calls, sharded and unsharded), admission control (queue-full, shutdown
+// pipelined replies identical to sequential local calls (sharded and
+// unsharded), admission control (queue-full, shutdown
 // drain), protocol robustness against a hostile peer (malformed frames,
 // mid-stream disconnects -- named error or clean close, never a crash or
 // hang), residency-limited serving, and a concurrent mixed-workload
@@ -85,7 +85,6 @@ TEST(NetServerTest, PingAndInfo) {
   EXPECT_EQ(info.cols, m.cols());
   EXPECT_EQ(info.format_tag, m.FormatTag());
   EXPECT_EQ(info.compressed_bytes, m.CompressedBytes());
-  EXPECT_EQ(info.batching, 1);
 }
 
 // --------------------------------------------------------------------------
@@ -97,7 +96,7 @@ TEST(NetServerTest, RightAndLeftMatchLocalOracleBitwise) {
   for (const char* spec :
        {"dense", "csrv", "gcm:re_32", "sharded?inner=csr&shards=3"}) {
     AnyMatrix m = AnyMatrix::Build(dense, spec);
-    TestServer ts(m, ServerConfig{.batching = false});
+    TestServer ts(m);
     Client client = ts.Connect();
 
     std::vector<double> x = RandomVector(m.cols(), 11);
@@ -114,7 +113,7 @@ TEST(NetServerTest, RowRangeMatchesSliceOfLocalOracle) {
   DenseMatrix dense = TestDense();
   for (const char* spec : {"csr", "sharded?inner=csrv&shards=4"}) {
     AnyMatrix m = AnyMatrix::Build(dense, spec);
-    TestServer ts(m, ServerConfig{.batching = false});
+    TestServer ts(m);
     Client client = ts.Connect();
     std::vector<double> x = RandomVector(m.cols(), 21);
     std::vector<double> local = m.MultiplyRight(x);
@@ -133,79 +132,58 @@ TEST(NetServerTest, RowRangeMatchesSliceOfLocalOracle) {
 }
 
 // --------------------------------------------------------------------------
-// Batching correctness: coalescing never changes anyone's answer
+// Pipelining: requests in flight on one connection never change an answer
 // --------------------------------------------------------------------------
 
-void CheckBatchingBitwise(const AnyMatrix& m) {
-  constexpr std::size_t kBatch = 4;
-  // A wide-open window + batch_max == kBatch makes the batch composition
-  // deterministic: the dispatcher holds the first request until all four
-  // pipelined ones have joined, then dispatches exactly once.
-  TestServer ts(m, ServerConfig{.batching = true,
-                                .batch_max = kBatch,
-                                .batch_window_ms = 1000.0});
-  Client client = ts.Connect();
-  std::vector<std::vector<double>> inputs;
-  std::vector<u64> ids;
-  for (std::size_t j = 0; j < kBatch; ++j) {
-    inputs.push_back(RandomVector(m.cols(), 100 + j));
-    ids.push_back(client.SendMvmRight(inputs.back()));
-  }
-  for (std::size_t j = 0; j < kBatch; ++j) {
-    Client::Response response = client.Await(ids[j]);
-    ASSERT_EQ(response.type, MsgType::kMvmReply) << response.message;
-    // The unbatched oracle: a sequential single-vector engine call.
-    EXPECT_EQ(response.values, m.MultiplyRight(inputs[j])) << "request " << j;
-  }
+TEST(NetServerTest, PipelinedRepliesBitwiseIdentical) {
+  for (const char* spec : {"gcm:re_32", "sharded?inner=gcm:re_32&shards=3"}) {
+    SCOPED_TRACE(spec);
+    AnyMatrix m = AnyMatrix::Build(TestDense(), spec);
+    TestServer ts(m);
+    Client client = ts.Connect();
 
-  // Same through the left kernels.
-  std::vector<std::vector<double>> left_inputs;
-  ids.clear();
-  for (std::size_t j = 0; j < kBatch; ++j) {
-    left_inputs.push_back(RandomVector(m.rows(), 200 + j));
-    ids.push_back(client.SendMvmLeft(left_inputs.back()));
-  }
-  for (std::size_t j = 0; j < kBatch; ++j) {
-    Client::Response response = client.Await(ids[j]);
-    ASSERT_EQ(response.type, MsgType::kMvmReply) << response.message;
-    EXPECT_EQ(response.values, m.MultiplyLeft(left_inputs[j]));
-  }
+    // Full-range rights, all sent before the first reply is read. The
+    // oracle is the sequential single-vector engine call.
+    std::vector<std::vector<double>> inputs;
+    std::vector<u64> ids;
+    for (std::size_t j = 0; j < 4; ++j) {
+      inputs.push_back(RandomVector(m.cols(), 100 + j));
+      ids.push_back(client.SendMvmRight(inputs.back()));
+    }
+    for (std::size_t j = 0; j < 4; ++j) {
+      Client::Response response = client.Await(ids[j]);
+      ASSERT_EQ(response.type, MsgType::kMvmReply) << response.message;
+      EXPECT_EQ(response.values, m.MultiplyRight(inputs[j])) << "right " << j;
+    }
 
-  // The requests really were coalesced, not served one by one.
-  ServerInfo info = client.Info();
-  EXPECT_EQ(info.max_batch, kBatch);
-  EXPECT_GE(info.batched_requests, 2 * kBatch);
-}
+    // Same through the left kernels.
+    inputs.clear();
+    ids.clear();
+    for (std::size_t j = 0; j < 4; ++j) {
+      inputs.push_back(RandomVector(m.rows(), 200 + j));
+      ids.push_back(client.SendMvmLeft(inputs.back()));
+    }
+    for (std::size_t j = 0; j < 4; ++j) {
+      Client::Response response = client.Await(ids[j]);
+      ASSERT_EQ(response.type, MsgType::kMvmReply) << response.message;
+      EXPECT_EQ(response.values, m.MultiplyLeft(inputs[j])) << "left " << j;
+    }
 
-TEST(NetServerTest, BatchedRepliesBitwiseIdenticalUnsharded) {
-  CheckBatchingBitwise(AnyMatrix::Build(TestDense(), "gcm:re_32"));
-}
-
-TEST(NetServerTest, BatchedRepliesBitwiseIdenticalSharded) {
-  CheckBatchingBitwise(
-      AnyMatrix::Build(TestDense(), "sharded?inner=gcm:re_32&shards=3"));
-}
-
-TEST(NetServerTest, BatchedRangeRepliesBitwiseIdentical) {
-  AnyMatrix m = AnyMatrix::Build(TestDense(), "sharded?inner=csr&shards=4");
-  TestServer ts(m, ServerConfig{.batching = true,
-                                .batch_max = 3,
-                                .batch_window_ms = 1000.0});
-  Client client = ts.Connect();
-  std::vector<double> local = m.MultiplyRight(RandomVector(m.cols(), 31));
-  std::vector<std::vector<double>> inputs;
-  std::vector<u64> ids;
-  for (std::size_t j = 0; j < 3; ++j) {
-    inputs.push_back(RandomVector(m.cols(), 31 + j));
-    ids.push_back(client.SendMvmRight(inputs[j], 10, 40));
-  }
-  for (std::size_t j = 0; j < 3; ++j) {
-    Client::Response response = client.Await(ids[j]);
-    ASSERT_EQ(response.type, MsgType::kMvmReply) << response.message;
-    std::vector<double> full = m.MultiplyRight(inputs[j]);
-    ASSERT_EQ(response.values.size(), 30u);
-    for (std::size_t r = 0; r < 30; ++r) {
-      EXPECT_EQ(response.values[r], full[10 + r]);
+    // Ranged rights: each reply is the [10, 40) slice of the full result.
+    inputs.clear();
+    ids.clear();
+    for (std::size_t j = 0; j < 3; ++j) {
+      inputs.push_back(RandomVector(m.cols(), 31 + j));
+      ids.push_back(client.SendMvmRight(inputs.back(), 10, 40));
+    }
+    for (std::size_t j = 0; j < 3; ++j) {
+      Client::Response response = client.Await(ids[j]);
+      ASSERT_EQ(response.type, MsgType::kMvmReply) << response.message;
+      std::vector<double> full = m.MultiplyRight(inputs[j]);
+      ASSERT_EQ(response.values.size(), 30u);
+      for (std::size_t r = 0; r < 30; ++r) {
+        EXPECT_EQ(response.values[r], full[10 + r]) << "range " << j;
+      }
     }
   }
 }
@@ -216,7 +194,7 @@ TEST(NetServerTest, BatchedRangeRepliesBitwiseIdentical) {
 
 TEST(NetServerTest, DimensionMismatchIsNamedAndRecoverable) {
   AnyMatrix m = AnyMatrix::Build(TestDense(), "csr");
-  TestServer ts(m, ServerConfig{.batching = false});
+  TestServer ts(m);
   Client client = ts.Connect();
   std::vector<double> wrong(m.cols() + 3, 1.0);
   Client::Response response = client.Await(client.SendMvmRight(wrong));
@@ -229,7 +207,7 @@ TEST(NetServerTest, DimensionMismatchIsNamedAndRecoverable) {
 
 TEST(NetServerTest, BadRowRangeIsNamed) {
   AnyMatrix m = AnyMatrix::Build(TestDense(), "csr");
-  TestServer ts(m, ServerConfig{.batching = false});
+  TestServer ts(m);
   Client client = ts.Connect();
   std::vector<double> x = RandomVector(m.cols(), 51);
   // end beyond rows, inverted range, and a range on a left multiply.
@@ -251,7 +229,7 @@ TEST(NetServerTest, BadRowRangeIsNamed) {
 
 TEST(NetServerTest, MalformedPayloadIsNamedAndRecoverable) {
   AnyMatrix m = AnyMatrix::Build(TestDense(), "csr");
-  TestServer ts(m, ServerConfig{.batching = false});
+  TestServer ts(m);
   Client client = ts.Connect();
   // A well-framed request whose body is garbage: header + CRC valid, so
   // only the payload codec can reject it.
@@ -265,7 +243,7 @@ TEST(NetServerTest, MalformedPayloadIsNamedAndRecoverable) {
 
 TEST(NetServerTest, ResponseTypeRequestIsRejectedButKeepsConnection) {
   AnyMatrix m = AnyMatrix::Build(TestDense(), "csr");
-  TestServer ts(m, ServerConfig{.batching = false});
+  TestServer ts(m);
   Client client = ts.Connect();
   WriteFrame(client.socket(), MsgType::kMvmReply, 5, {});
   Client::Response response = client.Await(5);
@@ -441,7 +419,7 @@ TEST(NetServerTest, RangeRequestsTouchOnlyOverlappingShards) {
   ASSERT_NE(sharded, nullptr);
   ASSERT_EQ(sharded->LoadedShardCount(), 0u);
 
-  TestServer ts(m, ServerConfig{.batching = false});
+  TestServer ts(m);
   Client client = ts.Connect();
   std::vector<double> x = RandomVector(m.cols(), 91);
   std::vector<double> served = client.MvmRight(x, 25, 35);  // shards 2 and 3
@@ -470,8 +448,7 @@ TEST(NetServerTest, ResidencyLimitBoundsTheWorkingSet) {
   }
   ASSERT_GT(smallest, 0u);
 
-  TestServer ts(m, ServerConfig{.batching = false,
-                                .max_resident_bytes = 2 * smallest});
+  TestServer ts(m, ServerConfig{.max_resident_bytes = 2 * smallest});
   Client client = ts.Connect();
   for (int round = 0; round < 3; ++round) {
     EXPECT_EQ(client.MvmRight(x), local);  // touches all six shards
@@ -480,9 +457,10 @@ TEST(NetServerTest, ResidencyLimitBoundsTheWorkingSet) {
       EXPECT_EQ(slice[r], local[5 + r]);
     }
   }
-  // Eviction runs after each batch, before the next one starts; after the
-  // last reply the previous batches' evictions have all been applied, so
-  // the working set is at most the limit plus the last batch's touches.
+  // Eviction runs after each request, before the next one starts; after
+  // the last reply the previous requests' evictions have all been applied,
+  // so the working set is at most the limit plus the last request's
+  // touches.
   EXPECT_LE(sharded->LoadedShardCount(), 4u);
   EXPECT_GT(ts.server->stats().shard_evictions, 0u);
 }
@@ -497,10 +475,7 @@ TEST(NetServerTest, ConcurrentMixedWorkloadServesEveryoneCorrectly) {
   // kernel_threads = 2 exercises the pooled shard scatter under serving
   // concurrency; the sharded kernels are bitwise pool-invariant, so the
   // oracle assertions still hold exactly.
-  TestServer ts(m, ServerConfig{.batching = true,
-                                .batch_max = 8,
-                                .batch_window_ms = 0.2,
-                                .kernel_threads = 2});
+  TestServer ts(m, ServerConfig{.kernel_threads = 2});
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kRequests = 25;
   std::vector<std::thread> workers;
