@@ -1,5 +1,5 @@
 // Microbenchmarks of the individual kernels (google-benchmark): RePair
-// construction, rANS encode/decode, packed-array access, the four MVM
+// construction, rANS encode/decode, CRC-32, packed-array access, the four MVM
 // formats, engine dispatch, CSM computation and CLA compression. These
 // quantify the constant factors behind the table-level results (e.g. why
 // re_32 multiplies faster than re_iv, and re_iv faster than re_ans).
@@ -108,6 +108,21 @@ void BM_RansDecode(benchmark::State& state) {
       state.iterations() * static_cast<benchmark::IterationCount>(symbols.size()));
 }
 BENCHMARK(BM_RansDecode)->Unit(benchmark::kMillisecond);
+
+// CRC-32 over a buffer the size of the `solve` benchmark's snapshot
+// (2.3 MB): the checksum every snapshot load, shard fault-in and wire frame
+// pays.
+void BM_Crc32(benchmark::State& state) {
+  Rng rng(6);
+  std::vector<u8> bytes(2329136);
+  for (auto& b : bytes) b = static_cast<u8>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<benchmark::IterationCount>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
 
 void BM_IntVectorAccess(benchmark::State& state) {
   Rng rng(3);

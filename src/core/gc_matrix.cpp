@@ -1,6 +1,7 @@
 #include "core/gc_matrix.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/check.hpp"
 #include "util/enum_names.hpp"
@@ -170,7 +171,10 @@ void GcMatrix::ForEachFinalSymbol(F&& fn) const {
       break;
     case GcFormat::kReAns: {
       RansDecoder decoder(c_ans_);
-      while (!decoder.AtEnd()) fn(decoder.Next());
+      std::array<u32, 256> batch;
+      while (std::size_t n = decoder.NextBatch(batch)) {
+        for (std::size_t i = 0; i < n; ++i) fn(batch[i]);
+      }
       break;
     }
   }

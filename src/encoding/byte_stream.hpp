@@ -32,6 +32,13 @@
 
 namespace gcm {
 
+/// Bytes ByteWriter::PutVarint spends on `value`.
+constexpr std::size_t VarintSize(u64 value) {
+  std::size_t bytes = 1;
+  for (; value >= 0x80; value >>= 7) ++bytes;
+  return bytes;
+}
+
 class ByteWriter {
  public:
   template <typename T>

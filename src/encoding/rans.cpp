@@ -31,12 +31,6 @@ FoldedSymbol Fold(u32 symbol, u32 fold_bits) {
           symbol & static_cast<u32>(LowMask(b))};
 }
 
-u32 Unfold(u32 slot, u32 fold_bits, u32 payload) {
-  if (slot < (1u << fold_bits)) return slot;
-  u32 b = fold_bits + (slot - (1u << fold_bits));
-  return (1u << b) | payload;
-}
-
 /// Normalizes raw counts so they sum to kScale, keeping every nonzero count
 /// at >= 1. Standard largest-remainder style with a correction pass.
 std::vector<u16> NormalizeFreqs(const std::vector<u64>& counts, u64 total) {
@@ -108,17 +102,58 @@ class RansEncoderState {
   std::vector<u32> chunks_;
 };
 
+void CheckLaneCount(u32 lanes) {
+  GCM_CHECK_MSG(lanes == 1 || lanes == kRansLanes,
+                "corrupt rANS header: " << lanes << " lanes (accepted: 1 or "
+                                        << kRansLanes << ")");
+}
+
+/// Checks that the lane table tiles the payload into `lanes` sub-streams,
+/// each holding at least its 2-chunk initial state.
+void CheckLaneLayout(const RansStream& stream) {
+  CheckLaneCount(stream.lanes);
+  GCM_CHECK_MSG(stream.lane_starts.size() + 1 == stream.lanes,
+                "corrupt rANS header: " << stream.lane_starts.size()
+                                        << " lane offsets for "
+                                        << stream.lanes << " lanes");
+  const u64 total = stream.chunks.size();
+  u64 begin = 0;
+  for (u32 k = 0; k < stream.lanes; ++k) {
+    u64 end = k + 1 < stream.lanes ? stream.lane_starts[k] : total;
+    GCM_CHECK_MSG(end <= total, "corrupt rANS header: lane "
+                                    << k + 1 << " starts at chunk " << end
+                                    << ", past the " << total
+                                    << "-chunk payload");
+    GCM_CHECK_MSG(end >= begin, "corrupt rANS header: lane "
+                                    << k + 1 << " starts at chunk " << end
+                                    << ", before lane " << k << " at "
+                                    << begin);
+    GCM_CHECK_MSG(stream.symbol_count == 0 || end - begin >= 2,
+                  "rANS payload too short: lane "
+                      << k << " holds " << end - begin
+                      << " chunks, fewer than its 2-chunk initial state");
+    begin = end;
+  }
+}
+
 }  // namespace
 
 u64 RansStream::SizeInBytes() const {
-  // Exact serialized footprint: model header plus 4 bytes per payload chunk.
-  ByteWriter writer;
-  Serialize(&writer);
-  return writer.size();
+  // Mirrors Serialize field by field; the payload is 4 bytes per chunk.
+  u64 bytes = 1 + VarintSize(symbol_count) + VarintSize(freqs.size());
+  u64 nonzero = 0;
+  for (std::size_t s = 0; s < freqs.size(); ++s) {
+    if (freqs[s] == 0) continue;
+    ++nonzero;
+    bytes += VarintSize(s) + VarintSize(freqs[s]);
+  }
+  bytes += VarintSize(nonzero);
+  for (u64 start : lane_starts) bytes += VarintSize(start);
+  return bytes + VarintSize(chunks.size()) + 4 * chunks.size();
 }
 
 void RansStream::Serialize(ByteWriter* writer) const {
-  writer->Put<u8>(static_cast<u8>(fold_bits));
+  writer->Put<u8>(static_cast<u8>(fold_bits | ((lanes - 1) << 4)));
   writer->PutVarint(symbol_count);
   // count_if returns a signed ptrdiff_t; the count is non-negative.
   u64 nonzero = static_cast<u64>(std::count_if(
@@ -130,14 +165,18 @@ void RansStream::Serialize(ByteWriter* writer) const {
     writer->PutVarint(s);
     writer->PutVarint(freqs[s]);
   }
+  for (u64 start : lane_starts) writer->PutVarint(start);
   writer->PutArray(chunks);
 }
 
 RansStream RansStream::Deserialize(ByteReader* reader) {
   RansStream stream;
-  stream.fold_bits = reader->Get<u8>();
+  u8 header = reader->Get<u8>();
+  stream.fold_bits = header & 0x0fu;
+  stream.lanes = (header >> 4u) + 1u;
   GCM_CHECK_MSG(stream.fold_bits >= 1 && stream.fold_bits <= 13,
                 "corrupt rANS header: fold_bits=" << stream.fold_bits);
+  CheckLaneCount(stream.lanes);
   stream.symbol_count = reader->GetVarint();
   u64 slots = reader->GetVarint();
   GCM_CHECK_MSG(slots == SlotCount(stream.fold_bits),
@@ -155,7 +194,11 @@ RansStream RansStream::Deserialize(ByteReader* reader) {
   }
   GCM_CHECK_MSG(stream.symbol_count == 0 || sum == kScale,
                 "corrupt rANS header: frequencies sum to " << sum);
+  for (u32 k = 1; k < stream.lanes; ++k) {
+    stream.lane_starts.push_back(reader->GetVarint());
+  }
   stream.chunks = reader->GetArray<u32>();
+  CheckLaneLayout(stream);
   return stream;
 }
 
@@ -176,94 +219,172 @@ RansStream RansEncode(const std::vector<u32>& symbols, u32 fold_bits) {
   std::vector<u32> cum(slots + 1, 0);
   for (u32 s = 0; s < slots; ++s) cum[s + 1] = cum[s] + stream.freqs[s];
 
-  RansEncoderState state;
+  stream.lanes =
+      symbols.size() >= kRansInterleaveMinSymbols ? kRansLanes : 1;
+  std::vector<RansEncoderState> lanes(stream.lanes);
   // rANS encodes in reverse; per symbol, raw bits are pushed before the slot
-  // so the decoder pops slot first, then raw bits.
+  // so the decoder pops slot first, then raw bits. Symbol i is lane
+  // i mod lanes on both sides.
   for (std::size_t i = symbols.size(); i-- > 0;) {
+    RansEncoderState& state = lanes[i % stream.lanes];
     FoldedSymbol f = Fold(symbols[i], fold_bits);
     state.PushRawBits(f.payload, f.raw_bits);
     state.PushSlot(stream.freqs[f.slot], cum[f.slot]);
   }
-  stream.chunks = state.Finish();
+  std::vector<u32> chunks = lanes[0].Finish();
+  for (u32 k = 1; k < stream.lanes; ++k) {
+    stream.lane_starts.push_back(chunks.size());
+    std::vector<u32> lane = lanes[k].Finish();
+    chunks.insert(chunks.end(), lane.begin(), lane.end());
+  }
+  stream.chunks = std::move(chunks);
   return stream;
 }
+
+namespace {
+
+/// Read-only views a decode step needs, hoisted out of the decoder so a
+/// batch keeps them (and the lane states) in registers.
+struct DecodeTables {
+  std::span<const u16> slot_of_pos;
+  std::span<const u16> freqs;
+  std::span<const u32> cum;
+  std::span<const u32> chunks;
+  u32 fold_bits;
+};
+
+/// Pulls one chunk into a lane whose state fell below kRansL. Branch-free:
+/// the lane always loads a chunk it owns (its last one once exhausted;
+/// every lane holds at least two) and keeps it only when the state needs
+/// it, so the unpredictable refill costs no mispredicted branch.
+template <typename Lane>
+inline void Renormalize(const DecodeTables& t, Lane& lane) {
+  bool refill = lane.state < kRansL && lane.next < lane.end;
+  std::size_t at = lane.next - (lane.next == lane.end ? 1u : 0u);
+  GCM_DCHECK_BOUNDS(at, t.chunks.size());
+  u64 chunk = t.chunks[at];
+  lane.state = refill ? (lane.state << 32) | chunk : lane.state;
+  lane.next += refill ? 1u : 0u;
+}
+
+template <typename Lane>
+inline u32 DecodeStep(const DecodeTables& t, Lane& lane) {
+  u32 pos = static_cast<u32>(lane.state & (kScale - 1));
+  // The mask bounds pos to [0, kScale); slot_of_pos has exactly kScale
+  // entries whenever symbols remain (built in the constructor), and every
+  // slot id it holds indexes the freqs/cum tables.
+  GCM_DCHECK_BOUNDS(pos, t.slot_of_pos.size());
+  u32 slot = t.slot_of_pos[pos];
+  GCM_DCHECK_BOUNDS(slot, t.freqs.size());
+  GCM_DCHECK_BOUNDS(slot, t.cum.size());
+  u32 freq = t.freqs[slot];
+  GCM_DCHECK_MSG(freq > 0, "decoded slot " << slot << " has zero frequency");
+  GCM_DCHECK_MSG(pos >= t.cum[slot],
+                 "rANS state position " << pos
+                                        << " below the slot's cumulative base "
+                                        << t.cum[slot]);
+  lane.state =
+      static_cast<u64>(freq) * (lane.state >> kScaleBits) + pos - t.cum[slot];
+  // Renormalization needs at most ONE chunk at each of the two points: before
+  // each, state >= 2^(31-kScaleBits) > 0 (the decode step keeps state >=
+  // freq * (state >> 14) with state >= kRansL = 2^31 beforehand; the
+  // raw-bits shift below drops at most 31 bits of a state >= 2^31), and
+  // (state << 32) | chunk >= 2^32 > kRansL for any state >= 1. A corrupt
+  // stream can void the precondition and decode garbage, and the load-time
+  // payload validation (symbol ranges, sentinel counts) rejects it
+  // downstream; the lane's end bounds every read.
+  Renormalize(t, lane);
+  // A literal slot is the symbol; a folded one pops `width` raw low bits
+  // (width 0 for literals makes the pop and second refill no-ops).
+  u32 fold_base = 1u << t.fold_bits;
+  bool folded = slot >= fold_base;
+  u32 width = folded ? t.fold_bits + (slot - fold_base) : 0;
+  GCM_DCHECK_MSG(width <= 31, "raw-bit width " << width << " exceeds 31");
+  u32 payload = static_cast<u32>(lane.state & ((1ULL << width) - 1));
+  lane.state >>= width;
+  Renormalize(t, lane);
+  return folded ? (1u << width) | payload : slot;
+}
+
+}  // namespace
 
 RansDecoder::RansDecoder(const RansStream& stream) : stream_(stream) {
   u32 slots = SlotCount(stream.fold_bits);
   GCM_CHECK_MSG(stream.freqs.size() == slots, "rANS model size mismatch");
+  CheckLaneLayout(stream);
   cum_.assign(slots + 1, 0);
   for (u32 s = 0; s < slots; ++s) cum_[s + 1] = cum_[s] + stream.freqs[s];
   if (stream.symbol_count > 0) {
     GCM_CHECK_MSG(cum_[slots] == kScale, "rANS model does not sum to 2^14");
     slot_of_pos_.resize(kScale);
     for (u32 s = 0; s < slots; ++s) {
-      for (u32 p = cum_[s]; p < cum_[s + 1]; ++p) {
-        slot_of_pos_[p] = static_cast<u16>(s);
-      }
+      std::fill(slot_of_pos_.begin() + cum_[s],
+                slot_of_pos_.begin() + cum_[s + 1], static_cast<u16>(s));
     }
   }
   Reset();
 }
 
 void RansDecoder::Reset() {
-  chunk_pos_ = 0;
+  lane_ = 0;
   remaining_ = stream_.symbol_count;
   if (remaining_ == 0) return;
-  GCM_CHECK_MSG(stream_.chunks.size() >= 2, "rANS payload too short");
-  state_ = (static_cast<u64>(ReadChunk()) << 32) | ReadChunk();
-}
-
-u32 RansDecoder::ReadChunk() {
-  GCM_CHECK_MSG(chunk_pos_ < stream_.chunks.size(),
-                "rANS payload underrun (corrupt stream)");
-  return stream_.chunks[chunk_pos_++];
+  std::size_t begin = 0;
+  for (u32 k = 0; k < stream_.lanes; ++k) {
+    Lane& lane = lanes_[k];
+    lane.end = k + 1 < stream_.lanes ? stream_.lane_starts[k]
+                                     : stream_.chunks.size();
+    lane.state = (static_cast<u64>(stream_.chunks[begin]) << 32) |
+                 stream_.chunks[begin + 1];
+    lane.next = begin + 2;
+    begin = lane.end;
+  }
 }
 
 u32 RansDecoder::Next() {
   GCM_CHECK_MSG(remaining_ > 0, "rANS stream exhausted");
-  --remaining_;
-  u32 pos = static_cast<u32>(state_ & (kScale - 1));
-  // The mask bounds pos to [0, kScale); slot_of_pos_ has exactly kScale
-  // entries whenever symbols remain (built in the constructor), and every
-  // slot id it holds indexes the freqs/cum tables.
-  GCM_DCHECK_BOUNDS(pos, slot_of_pos_.size());
-  u32 slot = slot_of_pos_[pos];
-  GCM_DCHECK_BOUNDS(slot, stream_.freqs.size());
-  GCM_DCHECK_BOUNDS(slot, cum_.size());
-  u32 freq = stream_.freqs[slot];
-  GCM_DCHECK_MSG(freq > 0, "decoded slot " << slot << " has zero frequency");
-  GCM_DCHECK_MSG(pos >= cum_[slot],
-                 "rANS state position " << pos
-                                        << " below the slot's cumulative base "
-                                        << cum_[slot]);
-  state_ = static_cast<u64>(freq) * (state_ >> kScaleBits) + pos - cum_[slot];
-  // Renormalization needs at most ONE chunk, so both renorm points are a
-  // branch, not a loop: before each, state >= 2^(31-kScaleBits) > 0 (the
-  // decode step keeps state >= freq * (state >> 14) with state >= kRansL
-  // = 2^31 beforehand; the raw-bits shift below drops at most 31 bits of
-  // a state >= 2^31), and (state << 32) | chunk >= 2^32 > kRansL for any
-  // state >= 1. A corrupt stream can void the precondition and decode
-  // garbage -- exactly as the old loop did -- and the load-time payload
-  // validation (symbol ranges, sentinel counts) rejects it downstream.
-  if (state_ < kRansL && chunk_pos_ < stream_.chunks.size()) {
-    state_ = (state_ << 32) | ReadChunk();
+  u32 symbol = 0;
+  NextBatch({&symbol, 1});
+  return symbol;
+}
+
+std::size_t RansDecoder::NextBatch(std::span<u32> out) {
+  const std::size_t n =
+      static_cast<std::size_t>(std::min<u64>(out.size(), remaining_));
+  const DecodeTables t{slot_of_pos_, stream_.freqs, cum_,
+                       stream_.chunks.span(), stream_.fold_bits};
+  const u32 lane_mask = stream_.lanes - 1;  // lanes is a power of two
+  std::size_t i = 0;
+  if (stream_.lanes == kRansLanes) {
+    // Step single symbols up to lane 0, then whole rounds of four with the
+    // lane states in locals: the four dependency chains overlap.
+    for (; i < n && lane_ != 0; ++i, lane_ = (lane_ + 1) & lane_mask) {
+      out[i] = DecodeStep(t, lanes_[lane_]);
+    }
+    Lane a = lanes_[0], b = lanes_[1], c = lanes_[2], d = lanes_[3];
+    for (; i + kRansLanes <= n; i += kRansLanes) {
+      out[i] = DecodeStep(t, a);
+      out[i + 1] = DecodeStep(t, b);
+      out[i + 2] = DecodeStep(t, c);
+      out[i + 3] = DecodeStep(t, d);
+    }
+    lanes_ = {a, b, c, d};
+    for (; i < n; ++i, lane_ = (lane_ + 1) & lane_mask) {
+      out[i] = DecodeStep(t, lanes_[lane_]);
+    }
+  } else {
+    Lane a = lanes_[0];
+    for (; i < n; ++i) out[i] = DecodeStep(t, a);
+    lanes_[0] = a;
   }
-  u32 fold_base = 1u << stream_.fold_bits;
-  if (slot < fold_base) return slot;
-  u32 width = stream_.fold_bits + (slot - fold_base);
-  u32 payload = static_cast<u32>(state_ & LowMask(width));
-  state_ >>= width;
-  if (state_ < kRansL && chunk_pos_ < stream_.chunks.size()) {
-    state_ = (state_ << 32) | ReadChunk();
-  }
-  return Unfold(slot, stream_.fold_bits, payload);
+  remaining_ -= n;
+  return n;
 }
 
 std::vector<u32> RansDecoder::DecodeAll() {
   Reset();
-  std::vector<u32> out;
-  out.reserve(remaining_);
-  while (!AtEnd()) out.push_back(Next());
+  std::vector<u32> out(remaining_);
+  NextBatch(out);
   return out;
 }
 

@@ -14,12 +14,30 @@
 //     self-describing (no symbol table in the header).
 //
 // The model is semi-static: one frequency table, built from the input and
-// stored in the header, normalized to 2^kScaleBits. Decoding is strictly
-// sequential and forward, which is exactly what the compressed MVM kernel
-// needs when streaming over C.
+// stored in the header, normalized to 2^kScaleBits. Decoding runs forward,
+// which is exactly what the compressed MVM kernel needs when streaming over
+// C.
+//
+// Long streams are interleaved (F. Giesen, "Interleaved entropy coders",
+// arXiv:1402.3392): symbol i is coded by lane i mod kRansLanes, each lane
+// with its own 64-bit state and its own chunk sub-stream, all lanes sharing
+// the one frequency model. The lanes' decode steps do not depend on each
+// other, so a batch decode overlaps them. Streams shorter than
+// kRansInterleaveMinSymbols keep one lane, and a one-lane stream is byte
+// for byte the pre-interleaving layout, so one decoder reads both.
+//
+// Serialized layout:
+//   u8      fold_bits in the low 4 bits, lanes - 1 in the high 4 bits
+//           (files written before interleaving hold 0 there: one lane)
+//   varint  symbol_count
+//   varint  slot count, varint nonzero count, then (slot, freq) pairs
+//   varint  first chunk of lane k, for k = 1 .. lanes-1
+//   array   u32 chunks: lane 0's sub-stream, then lane 1's, ...
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "encoding/byte_stream.hpp"
@@ -28,18 +46,27 @@
 
 namespace gcm {
 
+/// Lane count of an interleaved stream (the only count besides 1).
+inline constexpr u32 kRansLanes = 4;
+/// The encoder interleaves streams of at least this many symbols.
+inline constexpr u64 kRansInterleaveMinSymbols = 4096;
+
 /// An encoded rANS stream plus the model needed to decode it.
 struct RansStream {
   u32 fold_bits = 12;           ///< Symbols < 2^fold_bits get literal slots.
+  u32 lanes = 1;                ///< Interleaved states: 1 or kRansLanes.
   u64 symbol_count = 0;         ///< Number of symbols encoded.
   std::vector<u16> freqs;       ///< Normalized slot frequencies (sum 2^14).
-  /// 32-bit payload, in decode order. The bulk of the stream: borrowed
-  /// from the mapping on zero-copy loads (the sparse freqs model is
-  /// re-materialized either way).
+  /// First chunk of lanes 1 .. lanes-1 (lane 0 starts at chunk 0).
+  std::vector<u64> lane_starts;
+  /// 32-bit payload, in decode order, lane after lane. The bulk of the
+  /// stream: borrowed from the mapping on zero-copy loads (the sparse
+  /// freqs model is re-materialized either way).
   ArrayRef<u32> chunks;
 
   /// Total bytes attributable to this stream (payload + model header),
-  /// i.e. what counts as "compressed size" in the experiments.
+  /// i.e. what counts as "compressed size" in the experiments: exactly
+  /// the length Serialize writes into an unaligned stream.
   u64 SizeInBytes() const;
 
   void Serialize(ByteWriter* writer) const;
@@ -55,15 +82,20 @@ RansStream RansEncode(const std::vector<u32>& symbols, u32 fold_bits = 12);
 /// multithreaded MVM kernel owns its own decoder over its own block stream.
 class RansDecoder {
  public:
+  /// Throws gcm::Error when the model or the lane layout is corrupt.
   explicit RansDecoder(const RansStream& stream);
 
   /// Number of symbols remaining.
   u64 Remaining() const { return remaining_; }
   bool AtEnd() const { return remaining_ == 0; }
 
-  /// Decodes the next symbol. Throws gcm::Error when exhausted or when the
-  /// stream is corrupt (payload underrun).
+  /// Decodes the next symbol. Throws gcm::Error when exhausted.
   u32 Next();
+
+  /// Decodes the next min(out.size(), Remaining()) symbols into `out` and
+  /// returns that count (0 only at the end). The lane states live in
+  /// locals for the whole batch, so interleaved lanes decode overlapped.
+  std::size_t NextBatch(std::span<u32> out);
 
   /// Restarts decoding from the beginning of the stream.
   void Reset();
@@ -72,13 +104,18 @@ class RansDecoder {
   std::vector<u32> DecodeAll();
 
  private:
-  u32 ReadChunk();
+  /// One lane's coder state and its read cursor into its sub-stream.
+  struct Lane {
+    u64 state = 0;
+    std::size_t next = 0;  ///< next chunk to read
+    std::size_t end = 0;   ///< one past the lane's last chunk
+  };
 
   const RansStream& stream_;
   std::vector<u16> slot_of_pos_;   ///< position in [0,2^14) -> slot id
   std::vector<u32> cum_;           ///< cumulative frequencies per slot
-  u64 state_ = 0;
-  std::size_t chunk_pos_ = 0;
+  std::array<Lane, kRansLanes> lanes_{};
+  u32 lane_ = 0;                   ///< lane of the next symbol
   u64 remaining_ = 0;
 };
 

@@ -14,26 +14,54 @@ bool IsValidSectionAlignment(std::size_t alignment) {
          (alignment & (alignment - 1)) == 0;
 }
 
-std::array<u32, 256> BuildCrcTable() {
-  std::array<u32, 256> table{};
+/// Slicing-by-16 tables: table[k][b] is the CRC register after feeding
+/// byte b followed by k zero bytes, so one round folds 16 input bytes with
+/// 16 independent lookups instead of a 16-step dependency chain.
+using CrcTables = std::array<std::array<u32, 256>, 16>;
+
+CrcTables BuildCrcTables() {
+  CrcTables table{};
   for (u32 i = 0; i < 256; ++i) {
     u32 crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1) ? 0xedb88320u : 0);
     }
-    table[i] = crc;
+    table[0][i] = crc;
+  }
+  for (std::size_t k = 1; k < table.size(); ++k) {
+    for (u32 i = 0; i < 256; ++i) {
+      u32 prev = table[k - 1][i];
+      table[k][i] = (prev >> 8) ^ table[0][prev & 0xff];
+    }
   }
   return table;
+}
+
+u32 LoadLe32(const u8* p) {
+  return static_cast<u32>(p[0]) | (static_cast<u32>(p[1]) << 8) |
+         (static_cast<u32>(p[2]) << 16) | (static_cast<u32>(p[3]) << 24);
 }
 
 }  // namespace
 
 u32 Crc32(const void* data, std::size_t size, u32 seed) {
-  static const std::array<u32, 256> table = BuildCrcTable();
+  static const CrcTables t = BuildCrcTables();
   const u8* bytes = static_cast<const u8*>(data);
   u32 crc = ~seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xff];
+  for (; size >= 16; bytes += 16, size -= 16) {
+    u32 w0 = LoadLe32(bytes) ^ crc;
+    u32 w1 = LoadLe32(bytes + 4);
+    u32 w2 = LoadLe32(bytes + 8);
+    u32 w3 = LoadLe32(bytes + 12);
+    crc = t[15][w0 & 0xff] ^ t[14][(w0 >> 8) & 0xff] ^
+          t[13][(w0 >> 16) & 0xff] ^ t[12][w0 >> 24] ^ t[11][w1 & 0xff] ^
+          t[10][(w1 >> 8) & 0xff] ^ t[9][(w1 >> 16) & 0xff] ^
+          t[8][w1 >> 24] ^ t[7][w2 & 0xff] ^ t[6][(w2 >> 8) & 0xff] ^
+          t[5][(w2 >> 16) & 0xff] ^ t[4][w2 >> 24] ^ t[3][w3 & 0xff] ^
+          t[2][(w3 >> 8) & 0xff] ^ t[1][(w3 >> 16) & 0xff] ^ t[0][w3 >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xff];
   }
   return ~crc;
 }

@@ -17,10 +17,14 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/any_matrix.hpp"
+#include "core/gc_matrix.hpp"
+#include "encoding/rans.hpp"
 #include "encoding/snapshot.hpp"
+#include "matrix/csrv.hpp"
 #include "matrix/dense_matrix.hpp"
 #include "serving/matrix_store.hpp"
 #include "serving/shard_manifest.hpp"
@@ -97,14 +101,32 @@ void ExpectLoadOrNamedThrow(LoadFn&& load, int mutant, int kind) {
   // whole test binary, which is exactly the point.
 }
 
+/// Large enough that the re_ans final sequence is coded with interleaved
+/// lanes (the test matrix above stays at one lane).
+DenseMatrix LaneMatrix() {
+  Rng rng(4242);
+  return DenseMatrix::Random(700, 24, 0.5, 200, &rng);
+}
+
 TEST(SnapshotMutationTest, MutatedSnapshotBytesLoadOrThrow) {
-  DenseMatrix dense = TestMatrix();
+  const DenseMatrix dense = TestMatrix();
+  const DenseMatrix lane_dense = LaneMatrix();
+  ASSERT_GE(GcMatrix::FromCsrv(CsrvMatrix::FromDense(lane_dense),
+                               {GcFormat::kReAns, 12, 0})
+                .final_sequence_length(),
+            kRansInterleaveMinSymbols);
   // Cover the structurally distinct payload families: grammar+rANS (the
-  // deepest decode path), plain grammar, and raw CSR.
-  const char* kSpecs[] = {"gcm:re_ans?blocks=2", "gcm:re_32", "csr"};
+  // deepest decode path) with one lane and with four, plain grammar, and
+  // raw CSR.
+  const std::pair<const DenseMatrix*, const char*> kInputs[] = {
+      {&dense, "gcm:re_ans?blocks=2"},
+      {&dense, "gcm:re_32"},
+      {&dense, "csr"},
+      {&lane_dense, "gcm:re_ans"}};
   Lcg lcg(20260807);
-  for (const char* spec : kSpecs) {
-    std::vector<u8> valid = AnyMatrix::Build(dense, spec).SaveSnapshotBytes();
+  for (const auto& [matrix, spec] : kInputs) {
+    std::vector<u8> valid =
+        AnyMatrix::Build(*matrix, spec).SaveSnapshotBytes();
     ASSERT_FALSE(valid.empty());
     for (int mutant = 0; mutant < 120; ++mutant) {
       std::vector<u8> bytes = Mutate(valid, mutant, &lcg);
