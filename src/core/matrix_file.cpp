@@ -9,10 +9,6 @@ AnyMatrix LoadAuto(const std::string& path) {
   switch (SniffMatrixFile(path)) {
     case MatrixFileKind::kSnapshot:
       return AnyMatrix::Load(path);
-    case MatrixFileKind::kDenseBinary:
-      return AnyMatrix::Wrap(LoadDense(path));
-    case MatrixFileKind::kCsrvBinary:
-      return AnyMatrix::Wrap(LoadCsrv(path));
     case MatrixFileKind::kMatrixMarket: {
       MatrixMarketData data = LoadMatrixMarket(path);
       return AnyMatrix::Wrap(

@@ -1,6 +1,9 @@
 #include "encoding/snapshot.hpp"
 
+#include <unistd.h>
+
 #include <array>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 
@@ -84,11 +87,28 @@ std::vector<u8> ReadFileBytes(const std::string& path) {
 }
 
 void WriteFileBytes(const std::string& path, const std::vector<u8>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  GCM_CHECK_MSG(out.good(), "cannot create file: " << path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  GCM_CHECK_MSG(out.good(), "short write on file: " << path);
+  // Replace, never rewrite: a reader that mapped `path` keeps the old
+  // inode, where truncating it in place would hand that reader the new
+  // bytes (or SIGBUS past a shorter end). The staged sibling is unique per
+  // process and per call, so concurrent writers never share one.
+  static std::atomic<u64> calls{0};
+  std::string staged = path + ".tmp." + std::to_string(getpid()) + "." +
+                       std::to_string(calls.fetch_add(1));
+  try {
+    std::ofstream out(staged, std::ios::binary);
+    GCM_CHECK_MSG(out.good(), "cannot create file: " << path);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    out.close();  // flushes, so a full disk is reported here
+    GCM_CHECK_MSG(!out.fail(), "short write on file: " << path);
+    std::error_code ec;
+    std::filesystem::rename(staged, path, ec);
+    GCM_CHECK_MSG(!ec, "cannot replace " << path << ": " << ec.message());
+  } catch (...) {
+    std::error_code ignore;
+    std::filesystem::remove(staged, ignore);
+    throw;
+  }
 }
 
 std::vector<u8> ReadFileHeader(const std::string& path) {

@@ -85,6 +85,12 @@ u32 Crc32(const void* data, std::size_t size, u32 seed = 0);
 /// Whole-file helpers shared by the container formats (throw gcm::Error on
 /// open/short-read/short-write failures, naming the path).
 std::vector<u8> ReadFileBytes(const std::string& path);
+/// The one writer of snapshot-shaped files: stages `bytes` in a sibling
+/// temp file unique to this process and call, then renames it onto
+/// `path`. It replaces and never truncates, so a reader that mapped the
+/// old file keeps reading the old bytes. On failure the temp file is
+/// removed and `path` is left as it was. No fsync: the rename is atomic
+/// against readers, not durable against a power cut.
 void WriteFileBytes(const std::string& path, const std::vector<u8>& bytes);
 /// First min(16, file size) bytes of `path` -- magic sniffing without
 /// reading (or mapping) the rest of a multi-GB file.

@@ -1,25 +1,28 @@
 #include "matrix/matrix_io.hpp"
 
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
 
-#include "encoding/byte_stream.hpp"
 #include "encoding/snapshot.hpp"
 
 namespace gcm {
 namespace {
 
-constexpr u32 kDenseMagic = 0x444d4347;  // "GCMD"
-constexpr u32 kCsrvMagic = 0x534d4347;   // "GCMS"
-// "GCM1": the ad-hoc compressed format old mm_repair_cli builds wrote
-// before snapshots existed. Recognized only to reject it with a real
-// message instead of a dense-text parse error on binary garbage.
-constexpr u32 kLegacyGcmMagic = 0x314d4347;
-constexpr u32 kFormatVersion = 1;
+/// Binary containers this io stack once wrote and reads no more, keyed by
+/// magic. Recognized only to reject them by name instead of a dense-text
+/// parse error on binary garbage; snapshots replace all three.
+struct RetiredFormat {
+  u32 magic;
+  const char* name;
+};
+constexpr RetiredFormat kRetiredFormats[] = {
+    {0x314d4347, "legacy GCM1 compressed"},  // "GCM1", pre-snapshot builds
+    {0x444d4347, "GCMD binary dense"},       // "GCMD"
+    {0x534d4347, "GCMS binary CSRV"},        // "GCMS"
+};
 
 constexpr const char* kMatrixMarketBanner = "%%MatrixMarket";
 
@@ -29,10 +32,6 @@ const char* MatrixFileKindName(MatrixFileKind kind) {
   switch (kind) {
     case MatrixFileKind::kSnapshot:
       return "snapshot";
-    case MatrixFileKind::kDenseBinary:
-      return "dense-binary";
-    case MatrixFileKind::kCsrvBinary:
-      return "csrv-binary";
     case MatrixFileKind::kMatrixMarket:
       return "matrix-market";
     case MatrixFileKind::kDenseText:
@@ -55,12 +54,13 @@ MatrixFileKind SniffMatrixFile(const std::string& path) {
     u32 magic;
     std::memcpy(&magic, head.data(), sizeof(magic));
     if (magic == kSnapshotMagic) return MatrixFileKind::kSnapshot;
-    if (magic == kDenseMagic) return MatrixFileKind::kDenseBinary;
-    if (magic == kCsrvMagic) return MatrixFileKind::kCsrvBinary;
-    GCM_CHECK_MSG(magic != kLegacyGcmMagic,
-                  path << " is a legacy GCM1 compressed file; re-compress "
-                          "its source with the current mm_repair_cli to "
-                          "get a snapshot");
+    for (const RetiredFormat& retired : kRetiredFormats) {
+      GCM_CHECK_MSG(magic != retired.magic,
+                    path << " is a " << retired.name
+                         << " file, a retired format; re-compress its "
+                            "source with `mm_repair_cli compress` to get a "
+                            "snapshot");
+    }
   }
   if (got >= std::strlen(kMatrixMarketBanner) &&
       std::memcmp(head.data(), kMatrixMarketBanner,
@@ -68,57 +68,6 @@ MatrixFileKind SniffMatrixFile(const std::string& path) {
     return MatrixFileKind::kMatrixMarket;
   }
   return MatrixFileKind::kDenseText;
-}
-
-void SaveDense(const DenseMatrix& matrix, const std::string& path) {
-  ByteWriter writer;
-  writer.Put<u32>(kDenseMagic);
-  writer.Put<u32>(kFormatVersion);
-  writer.PutVarint(matrix.rows());
-  writer.PutVarint(matrix.cols());
-  writer.PutArray(matrix.data());
-  WriteFileBytes(path, writer.buffer());
-}
-
-DenseMatrix LoadDense(const std::string& path) {
-  std::vector<u8> data = ReadFileBytes(path);
-  ByteReader reader(data);
-  GCM_CHECK_MSG(reader.Get<u32>() == kDenseMagic,
-                "not a dense matrix file: " << path);
-  GCM_CHECK_MSG(reader.Get<u32>() == kFormatVersion,
-                "unsupported format version in " << path);
-  std::size_t rows = reader.GetVarint();
-  std::size_t cols = reader.GetVarint();
-  std::vector<double> payload = reader.GetVector<double>();
-  GCM_CHECK_MSG(reader.AtEnd(), "trailing bytes in " << path);
-  return DenseMatrix(rows, cols, std::move(payload));
-}
-
-void SaveCsrv(const CsrvMatrix& matrix, const std::string& path) {
-  ByteWriter writer;
-  writer.Put<u32>(kCsrvMagic);
-  writer.Put<u32>(kFormatVersion);
-  writer.PutVarint(matrix.rows());
-  writer.PutVarint(matrix.cols());
-  writer.PutArray(matrix.dictionary());
-  writer.PutArray(matrix.sequence());
-  WriteFileBytes(path, writer.buffer());
-}
-
-CsrvMatrix LoadCsrv(const std::string& path) {
-  std::vector<u8> data = ReadFileBytes(path);
-  ByteReader reader(data);
-  GCM_CHECK_MSG(reader.Get<u32>() == kCsrvMagic,
-                "not a CSRV matrix file: " << path);
-  GCM_CHECK_MSG(reader.Get<u32>() == kFormatVersion,
-                "unsupported format version in " << path);
-  std::size_t rows = reader.GetVarint();
-  std::size_t cols = reader.GetVarint();
-  std::vector<double> dictionary = reader.GetVector<double>();
-  std::vector<u32> sequence = reader.GetVector<u32>();
-  GCM_CHECK_MSG(reader.AtEnd(), "trailing bytes in " << path);
-  return CsrvMatrix::FromParts(rows, cols, std::move(dictionary),
-                               std::move(sequence));
 }
 
 MatrixMarketData LoadMatrixMarket(const std::string& path) {

@@ -1,31 +1,29 @@
 // Container-level matrix file formats and format sniffing.
 //
-// This is the format-neutral floor of the io stack: each reader/writer
-// handles exactly one container (binary dense, binary CSRV, MatrixMarket
-// coordinate text, whitespace dense text), with magic numbers and
+// This is the format-neutral floor of the io stack. The binary container
+// is the AnyMatrix snapshot (encoding/snapshot.hpp), parsed by the engine;
+// the readers/writers here handle the two text interchange formats users
+// bring (MatrixMarket coordinate text, whitespace dense text), with
 // bounds-checked parsing so corrupt or truncated files fail loudly
 // (exercised by the failure-injection tests). SniffMatrixFile tells the
-// containers apart by magic / leading bytes; the engine-level front door
-// (core/matrix_file.hpp LoadAuto) builds on it to open *any* supported
-// file -- including AnyMatrix snapshots -- without the caller hard-coding
-// a reader.
+// formats apart by magic / leading bytes and rejects the retired binary
+// containers by name; the engine-level front door (core/matrix_file.hpp
+// LoadAuto) builds on it to open any supported file without the caller
+// hard-coding a reader.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "matrix/csrv.hpp"
 #include "matrix/dense_matrix.hpp"
 #include "matrix/sparse_builder.hpp"
 
 namespace gcm {
 
-/// Every container the io stack can identify. Snapshots are parsed by the
+/// Every format the io stack can open. Snapshots are parsed by the
 /// engine (core/any_matrix.hpp); the rest by the readers below.
 enum class MatrixFileKind {
   kSnapshot,      ///< "GCSN" AnyMatrix snapshot (encoding/snapshot.hpp)
-  kDenseBinary,   ///< "GCMD" dense container
-  kCsrvBinary,    ///< "GCMS" CSRV container
   kMatrixMarket,  ///< "%%MatrixMarket" coordinate text
   kDenseText,     ///< "rows cols" header + whitespace values
 };
@@ -34,16 +32,11 @@ const char* MatrixFileKindName(MatrixFileKind kind);
 
 /// Identifies a file by its magic number / leading bytes. Unknown binary
 /// content falls through to kDenseText (whose parser then reports the
-/// offending token). Throws gcm::Error when the file cannot be opened.
+/// offending token). Throws gcm::Error when the file cannot be opened or
+/// carries the magic of a retired binary container (the message names the
+/// format and says to re-compress its source with `mm_repair_cli
+/// compress`).
 MatrixFileKind SniffMatrixFile(const std::string& path);
-
-/// Writes a dense matrix ("GCMD" magic, version, dims, row-major doubles).
-void SaveDense(const DenseMatrix& matrix, const std::string& path);
-DenseMatrix LoadDense(const std::string& path);
-
-/// Writes a CSRV matrix ("GCMS" magic, dims, dictionary, sequence).
-void SaveCsrv(const CsrvMatrix& matrix, const std::string& path);
-CsrvMatrix LoadCsrv(const std::string& path);
 
 /// MatrixMarket coordinate format ("%%MatrixMarket matrix coordinate real
 /// general"), the interchange format of the paper's evaluation datasets.

@@ -14,6 +14,9 @@
 //    first touch, reports page-granular residency, and eviction
 //    (madvise + handle drop) round-trips back to a bitwise-identical
 //    reload.
+// 4. Replacement: saving over a mapped snapshot replaces the file by
+//    rename, so the old handle keeps multiplying the old matrix bitwise
+//    while a fresh load sees the new one.
 //
 // Runs on every compiler configuration including the asan-ubsan and tsan
 // presets -- borrowed-span lifetime bugs are exactly what sanitizers see
@@ -191,6 +194,52 @@ TEST(V1FixtureTest, V1StoreServesAndResavesAsV2) {
             kSnapshotVersion);
   AnyMatrix v2 = MatrixStore::Open(dir.string());
   EXPECT_EQ(DenseMatrix::MaxAbsDiff(v2.ToDense(), expected), 0.0);
+}
+
+// --------------------------------------------------------------------------
+// Replacing a mapped file
+// --------------------------------------------------------------------------
+
+TEST(MmapReplaceTest, SaveOverMappedSnapshotKeepsOldHandle) {
+  DenseMatrix first = TestMatrix();
+  Rng rng(777);
+  DenseMatrix second =
+      DenseMatrix::Random(first.rows(), first.cols(), 0.5, 6, &rng);
+  ASSERT_NE(first, second);
+  std::string path = ScratchPath("replaced.gcsnap");
+  AnyMatrix::Wrap(DenseMatrix(first)).Save(path);
+
+  AnyMatrix old = AnyMatrix::Load(path);  // borrows from the mapping
+  std::vector<double> x = RandomVector(first.cols(), 11);
+  std::vector<double> y = RandomVector(first.rows(), 12);
+  std::vector<double> right = old.MultiplyRight(x);
+  std::vector<double> left = old.MultiplyLeft(y);
+
+  // Same size, different bytes: an in-place rewrite would show through
+  // the old mapping without ever faulting.
+  AnyMatrix::Wrap(DenseMatrix(second)).Save(path);
+  EXPECT_EQ(old.MultiplyRight(x), right);
+  EXPECT_EQ(old.MultiplyLeft(y), left);
+  EXPECT_EQ(old.ToDense(), first);
+
+  AnyMatrix fresh = AnyMatrix::Load(path);
+  EXPECT_EQ(fresh.ToDense(), second);
+  EXPECT_EQ(fresh.MultiplyRight(x),
+            AnyMatrix::Wrap(DenseMatrix(second)).MultiplyRight(x));
+
+  // A rename that cannot succeed (the target is a directory) throws and
+  // leaves no staged temp file behind.
+  fs::path dir = ScratchPath("replace_dir");
+  fs::create_directories(dir / "target");
+  EXPECT_THROW(AnyMatrix::Wrap(DenseMatrix(second))
+                   .Save((dir / "target").string()),
+               Error);
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"target"});
+  EXPECT_TRUE(fs::is_empty(dir / "target"));
 }
 
 // --------------------------------------------------------------------------

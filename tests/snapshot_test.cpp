@@ -17,7 +17,6 @@
 #include "core/any_matrix.hpp"
 #include "core/matrix_file.hpp"
 #include "encoding/snapshot.hpp"
-#include "matrix/csrv.hpp"
 #include "matrix/matrix_io.hpp"
 #include "matrix/sparse_builder.hpp"
 #include "test_paths.hpp"
@@ -323,31 +322,35 @@ TEST(SnapshotEngineTest, LoadReportsFilePath) {
 // io front door: sniffing, MatrixMarket, LoadAuto
 // --------------------------------------------------------------------------
 
+// The name predates the retirement of the GCMD/GCMS binary containers:
+// three kinds remain, and the two retired magics are rejected.
 TEST(MatrixFileTest, SniffsAllFiveKinds) {
   DenseMatrix dense = TestMatrix();
   std::string snapshot = ScratchPath("sniff.gcsnap");
-  std::string dense_bin = ScratchPath("sniff.dmat");
-  std::string csrv_bin = ScratchPath("sniff.csrv");
   std::string market = ScratchPath("sniff.mtx");
   std::string text = ScratchPath("sniff.txt");
   AnyMatrix::Wrap(DenseMatrix(dense)).Save(snapshot);
-  SaveDense(dense, dense_bin);
-  SaveCsrv(CsrvMatrix::FromDense(dense), csrv_bin);
   SaveMatrixMarket(dense, market);
   SaveDenseText(dense, text);
 
   EXPECT_EQ(SniffMatrixFile(snapshot), MatrixFileKind::kSnapshot);
-  EXPECT_EQ(SniffMatrixFile(dense_bin), MatrixFileKind::kDenseBinary);
-  EXPECT_EQ(SniffMatrixFile(csrv_bin), MatrixFileKind::kCsrvBinary);
   EXPECT_EQ(SniffMatrixFile(market), MatrixFileKind::kMatrixMarket);
   EXPECT_EQ(SniffMatrixFile(text), MatrixFileKind::kDenseText);
 
-  for (const std::string& path :
-       {snapshot, dense_bin, csrv_bin, market, text}) {
+  for (const std::string& path : {snapshot, market, text}) {
     AnyMatrix loaded = LoadAuto(path);
     EXPECT_EQ(DenseMatrix::MaxAbsDiff(loaded.ToDense(), dense), 0.0)
         << path;
     std::remove(path.c_str());
+  }
+
+  for (const char* magic : {"GCMD", "GCMS"}) {
+    std::string retired = ScratchPath(std::string("sniff.") + magic);
+    WriteFileBytes(retired, {u8(magic[0]), u8(magic[1]), u8(magic[2]),
+                             u8(magic[3]), 1, 0, 0, 0});
+    EXPECT_THROW(SniffMatrixFile(retired), Error) << magic;
+    EXPECT_THROW(LoadAuto(retired), Error) << magic;
+    std::remove(retired.c_str());
   }
 }
 
@@ -367,18 +370,30 @@ TEST(MatrixFileTest, LoadAutoPreservesStoredBackend) {
 }
 
 TEST(MatrixFileTest, LegacyGcmFilesAreRejectedWithAMessage) {
-  std::string path = ScratchPath("legacy.gcm");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("GCM1\x01\x02\x03\x04 binary soup", f);
-  std::fclose(f);
-  try {
-    SniffMatrixFile(path);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("legacy"), std::string::npos);
+  // Every retired binary container: the pre-snapshot GCM1 compressed
+  // format and the GCMD/GCMS dense/CSRV containers. Each is named, and
+  // the message says how to get a snapshot instead.
+  for (const char* magic : {"GCM1", "GCMD", "GCMS"}) {
+    std::string path = ScratchPath(std::string("legacy.") + magic);
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs(magic, f);
+    std::fputs("\x01\x02\x03\x04 binary soup", f);
+    std::fclose(f);
+    try {
+      SniffMatrixFile(path);
+      FAIL() << "expected Error for " << magic;
+    } catch (const Error& e) {
+      std::string message = e.what();
+      EXPECT_NE(message.find(magic), std::string::npos) << message;
+      EXPECT_NE(message.find("mm_repair_cli compress"), std::string::npos)
+          << message;
+      if (std::string(magic) == "GCM1") {
+        EXPECT_NE(message.find("legacy"), std::string::npos) << message;
+      }
+    }
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
 }
 
 TEST(MatrixFileTest, TextFormatsPreserveFullDoublePrecision) {
