@@ -342,6 +342,35 @@ void BM_ShardedMvmRightPooled(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedMvmRightPooled)->Unit(benchmark::kMicrosecond);
 
+// Row blocks on a pool: the one parallel grain inside a single matrix (an
+// unblocked gcm:* ignores the pool and runs its one sequential scan).
+void MvmBlocked4Pooled(benchmark::State& state, bool right) {
+  AnyMatrix m = AnyMatrix::Build(CensusMatrix(), "gcm:re_iv?blocks=4");
+  ThreadPool pool(4);
+  std::vector<double> in = RandomVector(right ? m.cols() : m.rows(), 10);
+  std::vector<double> out(right ? m.rows() : m.cols());
+  for (auto _ : state) {
+    if (right) {
+      m.MultiplyRightInto(in, out, {&pool});
+    } else {
+      m.MultiplyLeftInto(in, out, {&pool});
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  SetMvmThroughput(state, m.CompressedBytes(), m.rows());
+}
+
+void BM_MvmRightBlocked4Pooled(benchmark::State& state) {
+  MvmBlocked4Pooled(state, true);
+}
+BENCHMARK(BM_MvmRightBlocked4Pooled)->Unit(benchmark::kMicrosecond);
+
+void BM_MvmLeftBlocked4Pooled(benchmark::State& state) {
+  MvmBlocked4Pooled(state, false);
+}
+BENCHMARK(BM_MvmLeftBlocked4Pooled)->Unit(benchmark::kMicrosecond);
+
 // Cold-start cost of bringing one shard snapshot into service: the
 // copying path (read the whole file into a heap buffer, every array
 // owned) vs the zero-copy path (map the file, borrow payload arrays out

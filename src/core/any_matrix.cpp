@@ -58,14 +58,13 @@ concept HasPoolInto = requires(const M& m, std::span<const double> in,
 };
 
 /// Matches backends with native multi-vector kernels that amortize work
-/// across the batch (GcMatrix / BlockedGcMatrix share one expansion of the
-/// grammar for all k columns). The rest fall back to the per-vector loop
-/// default, which preserves the bitwise-per-vector contract trivially.
+/// across the batch (GcMatrix shares one scan of C and R for all k
+/// columns). These run sequentially. The rest fall back to the per-vector
+/// loop default, which preserves the bitwise-per-vector contract trivially.
 template <typename M>
-concept HasNativeMulti = requires(const M& m, const DenseMatrix& x,
-                                  ThreadPool* pool) {
-  m.MultiplyRightMulti(x, pool);
-  m.MultiplyLeftMulti(x, pool);
+concept HasNativeMulti = requires(const M& m, const DenseMatrix& x) {
+  m.MultiplyRightMulti(x);
+  m.MultiplyLeftMulti(x);
 };
 
 template <typename M>
@@ -139,7 +138,7 @@ class KernelAdapter final : public IMatrixKernel {
   void MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
                           const MulContext& ctx) const override {
     if constexpr (HasNativeMulti<M>) {
-      *y = matrix_->MultiplyRightMulti(x, ctx.pool);
+      *y = matrix_->MultiplyRightMulti(x);
     } else {
       IMatrixKernel::MultiplyRightMulti(x, y, ctx);
     }
@@ -148,7 +147,7 @@ class KernelAdapter final : public IMatrixKernel {
   void MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
                          const MulContext& ctx) const override {
     if constexpr (HasNativeMulti<M>) {
-      *y = matrix_->MultiplyLeftMulti(x, ctx.pool);
+      *y = matrix_->MultiplyLeftMulti(x);
     } else {
       IMatrixKernel::MultiplyLeftMulti(x, y, ctx);
     }

@@ -108,8 +108,8 @@ class IMatrixKernel {
   /// Multi-vector kernels: Y = M X (X: cols x k, Y: rows x k) and
   /// Y = X M (X: k x rows, Y: k x cols); outputs are fully overwritten.
   /// The defaults loop the single-vector *Into kernels one input vector at
-  /// a time; backends that can amortize work across vectors (the grammar
-  /// family shares one expansion of C and R for all k columns, sharded
+  /// a time; backends that can amortize work across vectors (an unblocked
+  /// GcMatrix shares one scan of C and R for all k columns, sharded
   /// matrices scatter whole batches) override them. Contract: vector j of
   /// the result is bitwise identical to a sequential single-vector call on
   /// input j, so a caller may group vectors without changing any answer.

@@ -6,9 +6,7 @@
 #include "util/check.hpp"
 #include "util/enum_names.hpp"
 #include "util/fast_div.hpp"
-#include "util/partials.hpp"
 #include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gcm {
 
@@ -51,7 +49,7 @@ GcMatrix GcMatrix::FromSequence(std::vector<u32> sequence, std::size_t rows,
     m.c_length_ = sequence.size();
     m.rule_count_ = 0;
     sequence.shrink_to_fit();  // stored long-term; drop growth slack
-    m.c_plain_ = std::move(sequence);
+    m.c_ = ArrayRef<u32>(std::move(sequence));
     return m;
   }
 
@@ -82,13 +80,14 @@ GcMatrix GcMatrix::FromSequence(std::vector<u32> sequence, std::size_t rows,
   switch (options.format) {
     case GcFormat::kRe32:
       compressed.final_sequence.shrink_to_fit();  // drop growth slack
-      m.c_plain_ = std::move(compressed.final_sequence);
+      m.c_ = ArrayRef<u32>(std::move(compressed.final_sequence));
       m.r_plain_ = std::move(flat_rules);
       break;
     case GcFormat::kReIv: {
-      m.c_packed_ = IntVector(compressed.final_sequence.size(), width);
+      IntVector& c = m.c_.emplace<IntVector>(
+          compressed.final_sequence.size(), width);
       for (std::size_t i = 0; i < compressed.final_sequence.size(); ++i) {
-        m.c_packed_.Set(i, compressed.final_sequence[i]);
+        c.Set(i, compressed.final_sequence[i]);
       }
       m.r_packed_ = IntVector(flat_rules.size(), width);
       for (std::size_t i = 0; i < flat_rules.size(); ++i) {
@@ -97,7 +96,7 @@ GcMatrix GcMatrix::FromSequence(std::vector<u32> sequence, std::size_t rows,
       break;
     }
     case GcFormat::kReAns: {
-      m.c_ans_ = RansEncode(compressed.final_sequence, options.fold_bits);
+      m.c_ = RansEncode(compressed.final_sequence, options.fold_bits);
       m.r_packed_ = IntVector(flat_rules.size(), width);
       for (std::size_t i = 0; i < flat_rules.size(); ++i) {
         m.r_packed_.Set(i, flat_rules[i]);
@@ -134,11 +133,11 @@ u64 GcMatrix::PayloadBytes() const {
   switch (format_) {
     case GcFormat::kCsrv:
     case GcFormat::kRe32:
-      return c_plain_.size() * sizeof(u32) + r_plain_.size() * sizeof(u32);
+      return c_plain().size() * sizeof(u32) + r_plain_.size() * sizeof(u32);
     case GcFormat::kReIv:
-      return c_packed_.SizeInBytes() + r_packed_.SizeInBytes();
+      return c_packed().SizeInBytes() + r_packed_.SizeInBytes();
     case GcFormat::kReAns:
-      return c_ans_.SizeInBytes() + r_packed_.SizeInBytes();
+      return c_ans().SizeInBytes() + r_packed_.SizeInBytes();
   }
   return 0;
 }
@@ -162,15 +161,17 @@ void GcMatrix::ForEachFinalSymbol(F&& fn) const {
   switch (format_) {
     case GcFormat::kCsrv:
     case GcFormat::kRe32:
-      for (u32 symbol : c_plain_) fn(symbol);
+      for (u32 symbol : c_plain()) fn(symbol);
       break;
-    case GcFormat::kReIv:
-      for (std::size_t i = 0; i < c_packed_.size(); ++i) {
-        fn(static_cast<u32>(c_packed_.Get(i)));
+    case GcFormat::kReIv: {
+      const IntVector& c = c_packed();
+      for (std::size_t i = 0; i < c.size(); ++i) {
+        fn(static_cast<u32>(c.Get(i)));
       }
       break;
+    }
     case GcFormat::kReAns: {
-      RansDecoder decoder(c_ans_);
+      RansDecoder decoder(c_ans());
       std::array<u32, 256> batch;
       while (std::size_t n = decoder.NextBatch(batch)) {
         for (std::size_t i = 0; i < n; ++i) fn(batch[i]);
@@ -195,10 +196,6 @@ std::vector<double> GcMatrix::MultiplyLeft(const std::vector<double>& y) const {
 
 namespace {
 
-/// Minimum C symbols per worker before the two-pass chunked scan pays for
-/// its extra sentinel-counting pass.
-constexpr std::size_t kParallelScanGrain = 4096;
-
 /// Magic-multiply divisor for decoding packed terminals
 /// (value_id = packed / cols, column = packed - value_id * cols); exact,
 /// so symbol decoding is bitwise unchanged. A zero-column block's
@@ -210,54 +207,8 @@ U32Divisor ColsDivisor(std::size_t cols) {
 
 }  // namespace
 
-u32 GcMatrix::FinalSymbolAt(std::size_t i) const {
-  GCM_ASSERT(format_ != GcFormat::kReAns);
-  return format_ == GcFormat::kReIv ? static_cast<u32>(c_packed_.Get(i))
-                                    : c_plain_[i];
-}
-
-std::size_t GcMatrix::ScanChunkCount(const ThreadPool* pool) const {
-  if (pool == nullptr || format_ == GcFormat::kReAns || rows_ == 0) return 1;
-  std::size_t by_grain = c_length_ / kParallelScanGrain;
-  return std::max<std::size_t>(1, std::min(pool->size(), by_grain));
-}
-
-std::vector<std::size_t> GcMatrix::ChunkRowStarts(std::size_t chunks,
-                                                  ThreadPool* pool) const {
-  std::size_t per_chunk = (c_length_ + chunks - 1) / chunks;
-  std::vector<std::size_t> counts(chunks, 0);
-  pool->ParallelFor(chunks, [&](std::size_t c) {
-    std::size_t begin = c * per_chunk;
-    std::size_t end = std::min(c_length_, begin + per_chunk);
-    // Only the random-access formats reach here (re_ans scans run with
-    // chunks == 1); the plain u32 encodings count sentinels with the
-    // vectorized exact-match primitive, bit-packed C walks element-wise.
-    if (format_ != GcFormat::kReIv) {
-      counts[c] =
-          simd::CountEqualsU32(c_plain_.data() + begin, end - begin,
-                               kCsrvSentinel);
-      return;
-    }
-    std::size_t sentinels = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (FinalSymbolAt(i) == kCsrvSentinel) ++sentinels;
-    }
-    counts[c] = sentinels;
-  });
-  std::vector<std::size_t> starts(chunks, 0);
-  std::size_t total = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    starts[c] = total;
-    total += counts[c];
-  }
-  GCM_CHECK_MSG(total == rows_, "compressed sequence closed " << total
-                                    << " rows, expected " << rows_);
-  return starts;
-}
-
 void GcMatrix::MultiplyRightInto(std::span<const double> x,
-                                 std::span<double> y,
-                                 ThreadPool* pool) const {
+                                 std::span<double> y) const {
   GCM_CHECK_MSG(x.size() == cols_, "MultiplyRight: wrong vector length");
   GCM_CHECK_MSG(y.size() == rows_, "MultiplyRight: wrong output length");
   const std::vector<double>& dict = *dict_;
@@ -286,12 +237,6 @@ void GcMatrix::MultiplyRightInto(std::span<const double> x,
     w[i] = eval(RuleLeft(i)) + eval(RuleRight(i));
   }
 
-  std::size_t chunks = ScanChunkCount(pool);
-  if (chunks > 1) {
-    ParallelRightScan(x, y, w, chunks, pool);
-    return;
-  }
-
   // Scan of C: accumulate per-row partial sums, closing a row at each
   // sentinel (C may interleave terminals and nonterminals; Section 4).
   std::size_t row = 0;
@@ -308,78 +253,8 @@ void GcMatrix::MultiplyRightInto(std::span<const double> x,
                                   << " rows, expected " << rows_);
 }
 
-void GcMatrix::ParallelRightScan(std::span<const double> x,
-                                 std::span<double> y,
-                                 const std::vector<double>& w,
-                                 std::size_t chunks, ThreadPool* pool) const {
-  const std::vector<double>& dict = *dict_;
-  const u32 cols = static_cast<u32>(cols_);
-  const U32Divisor by_cols = ColsDivisor(cols_);
-  std::vector<std::size_t> row_start = ChunkRowStarts(chunks, pool);
-  std::size_t per_chunk = (c_length_ + chunks - 1) / chunks;
-
-  // Per chunk: the partial sum before its first sentinel (head), the
-  // partial after its last sentinel (tail), and whether it saw a sentinel
-  // at all. Rows fully inside a chunk are written to y directly; the rows
-  // cut by chunk boundaries are stitched sequentially below.
-  std::vector<double> head(chunks, 0.0);
-  std::vector<double> tail(chunks, 0.0);
-  std::vector<u8> closed_row(chunks, 0);
-  pool->ParallelFor(chunks, [&](std::size_t c) {
-    std::size_t begin = c * per_chunk;
-    std::size_t end = std::min(c_length_, begin + per_chunk);
-    std::size_t row = row_start[c];
-    bool saw_sentinel = false;
-    double acc = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      u32 symbol = FinalSymbolAt(i);
-      if (symbol != kCsrvSentinel) {
-        if (symbol >= alphabet_size_) {
-          GCM_DCHECK_BOUNDS(symbol - alphabet_size_, w.size());
-          acc += w[symbol - alphabet_size_];
-        } else {
-          u32 packed = symbol - 1;
-          u32 value_id = by_cols.Divide(packed);
-          GCM_DCHECK_BOUNDS(value_id, dict.size());
-          acc += dict[value_id] * x[packed - value_id * cols];
-        }
-        continue;
-      }
-      if (!saw_sentinel) {
-        head[c] = acc;  // closes row_start[c]; needs the previous chunks
-        saw_sentinel = true;
-      } else {
-        y[row] = acc;  // row fully contained in this chunk
-      }
-      ++row;
-      acc = 0.0;
-    }
-    if (!saw_sentinel) {
-      head[c] = acc;  // whole chunk is one partial row
-    }
-    tail[c] = acc;
-    closed_row[c] = saw_sentinel ? 1 : 0;
-  });
-
-  // Stitch boundary rows: carry the running partial of the row that is
-  // open at each chunk boundary.
-  double carry = 0.0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    if (closed_row[c]) {
-      y[row_start[c]] = carry + head[c];
-      carry = tail[c];
-    } else {
-      carry += head[c];
-    }
-  }
-  // Every row is sentinel-terminated, so the final carry is the (empty)
-  // partial after the last sentinel.
-  GCM_ASSERT(carry == 0.0);
-}
-
 void GcMatrix::MultiplyLeftInto(std::span<const double> y,
-                                std::span<double> x,
-                                ThreadPool* pool) const {
+                                std::span<double> x) const {
   GCM_CHECK_MSG(y.size() == rows_, "MultiplyLeft: wrong vector length");
   GCM_CHECK_MSG(x.size() == cols_, "MultiplyLeft: wrong output length");
   const std::vector<double>& dict = *dict_;
@@ -390,31 +265,26 @@ void GcMatrix::MultiplyLeftInto(std::span<const double> y,
   // Scan of C: seed W with row weights for nonterminals appearing in C;
   // terminals in C contribute directly (Section 4's generalization).
   std::vector<double> w(rule_count_, 0.0);
-  std::size_t chunks = ScanChunkCount(pool);
-  if (chunks > 1) {
-    ParallelLeftScan(y, x, &w, chunks, pool);
-  } else {
-    std::size_t row = 0;
-    ForEachFinalSymbol([&](u32 symbol) {
-      if (symbol == kCsrvSentinel) {
-        ++row;
-        return;
-      }
-      if (symbol >= alphabet_size_) {
-        GCM_DCHECK_BOUNDS(symbol - alphabet_size_, w.size());
-        GCM_DCHECK_BOUNDS(row, rows_);
-        w[symbol - alphabet_size_] += y[row];
-      } else {
-        u32 packed = symbol - 1;
-        u32 value_id = by_cols.Divide(packed);
-        GCM_DCHECK_BOUNDS(value_id, dict.size());
-        GCM_DCHECK_BOUNDS(row, rows_);
-        x[packed - value_id * cols] += y[row] * dict[value_id];
-      }
-    });
-    GCM_CHECK_MSG(row == rows_, "compressed sequence closed " << row
-                                    << " rows, expected " << rows_);
-  }
+  std::size_t row = 0;
+  ForEachFinalSymbol([&](u32 symbol) {
+    if (symbol == kCsrvSentinel) {
+      ++row;
+      return;
+    }
+    if (symbol >= alphabet_size_) {
+      GCM_DCHECK_BOUNDS(symbol - alphabet_size_, w.size());
+      GCM_DCHECK_BOUNDS(row, rows_);
+      w[symbol - alphabet_size_] += y[row];
+    } else {
+      u32 packed = symbol - 1;
+      u32 value_id = by_cols.Divide(packed);
+      GCM_DCHECK_BOUNDS(value_id, dict.size());
+      GCM_DCHECK_BOUNDS(row, rows_);
+      x[packed - value_id * cols] += y[row] * dict[value_id];
+    }
+  });
+  GCM_CHECK_MSG(row == rows_, "compressed sequence closed " << row
+                                  << " rows, expected " << rows_);
 
   // Backward pass over R (Lemma 3.9): when rule j is reached, W[j] already
   // equals sum_y(N_j); push it into children or accumulate into x.
@@ -436,92 +306,27 @@ void GcMatrix::MultiplyLeftInto(std::span<const double> y,
   }
 }
 
-void GcMatrix::ParallelLeftScan(std::span<const double> y,
-                                std::span<double> x, std::vector<double>* w,
-                                std::size_t chunks, ThreadPool* pool) const {
-  const std::vector<double>& dict = *dict_;
-  const u32 cols = static_cast<u32>(cols_);
-  const U32Divisor by_cols = ColsDivisor(cols_);
-  std::vector<std::size_t> row_start = ChunkRowStarts(chunks, pool);
-  std::size_t per_chunk = (c_length_ + chunks - 1) / chunks;
-
-  // Chunks scatter into W and x, so each keeps private accumulators
-  // (O(chunks * (|R| + cols)) words, the same order as the multi-vector
-  // kernels' auxiliary space); the chunk-order reduction restores
-  // scheduling-independent determinism without atomics.
-  PartialVectors w_parts(chunks, rule_count_);
-  PartialVectors x_parts(chunks, cols_);
-  pool->ParallelFor(chunks, [&](std::size_t c) {
-    std::size_t begin = c * per_chunk;
-    std::size_t end = std::min(c_length_, begin + per_chunk);
-    std::span<double> local_w = w_parts.part(c);
-    std::span<double> local_x = x_parts.part(c);
-    std::size_t row = row_start[c];
-    for (std::size_t i = begin; i < end; ++i) {
-      u32 symbol = FinalSymbolAt(i);
-      if (symbol == kCsrvSentinel) {
-        ++row;
-        continue;
-      }
-      if (symbol >= alphabet_size_) {
-        GCM_DCHECK_BOUNDS(symbol - alphabet_size_, local_w.size());
-        GCM_DCHECK_BOUNDS(row, rows_);
-        local_w[symbol - alphabet_size_] += y[row];
-      } else {
-        u32 packed = symbol - 1;
-        u32 value_id = by_cols.Divide(packed);
-        GCM_DCHECK_BOUNDS(value_id, dict.size());
-        GCM_DCHECK_BOUNDS(row, rows_);
-        local_x[packed - value_id * cols] += y[row] * dict[value_id];
-      }
-    }
-  });
-  w_parts.AccumulateInto(*w);
-  x_parts.AccumulateInto(x);
-}
-
-namespace {
-
-/// Splits [0, k) into one batch per pool worker and runs fn(t0, t1) on the
-/// pool; sequential when pool is null or the batching is degenerate.
-void ForEachColumnBatch(
-    std::size_t k, ThreadPool* pool,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  std::size_t batches =
-      pool == nullptr ? 1 : std::min(k, std::max<std::size_t>(1, pool->size()));
-  if (batches <= 1) {
-    fn(0, k);
-    return;
-  }
-  std::size_t per_batch = (k + batches - 1) / batches;
-  pool->ParallelFor(batches, [&](std::size_t b) {
-    std::size_t t0 = b * per_batch;
-    std::size_t t1 = std::min(k, t0 + per_batch);
-    if (t0 < t1) fn(t0, t1);
-  });
-}
-
-}  // namespace
-
-void GcMatrix::MultiplyRightMultiRange(const DenseMatrix& x, DenseMatrix* y,
-                                       std::size_t t0, std::size_t t1) const {
+DenseMatrix GcMatrix::MultiplyRightMulti(const DenseMatrix& x) const {
+  GCM_CHECK_MSG(x.rows() == cols_,
+                "MultiplyRightMulti: X has " << x.rows() << " rows, expected "
+                                             << cols_);
   const std::size_t k = x.cols();
-  const std::size_t kb = t1 - t0;  // batch width
+  DenseMatrix y(rows_, k);
   const std::vector<double>& dict = *dict_;
   const u32 cols = static_cast<u32>(cols_);
   const U32Divisor by_cols = ColsDivisor(cols_);
 
-  // W is rule_count x kb, filled forward as in the single-vector kernel.
-  // The kb-wide accumulates vectorize safely: lanes are independent
+  // W is rule_count x k, filled forward as in the single-vector kernel.
+  // The k-wide accumulates vectorize safely: lanes are independent
   // columns of X, so simd::Add/Axpy change no per-lane summation order.
-  std::vector<double> w(rule_count_ * kb, 0.0);
-  std::vector<double> acc(kb, 0.0);
+  std::vector<double> w(rule_count_ * k, 0.0);
+  std::vector<double> acc(k, 0.0);
   auto add_symbol = [&](u32 symbol, double* out) {
     if (symbol >= alphabet_size_) {
       GCM_DCHECK_BOUNDS(symbol - alphabet_size_, rule_count_);
       const double* row = w.data() + static_cast<std::size_t>(
-                                         symbol - alphabet_size_) * kb;
-      simd::Add(out, row, kb);
+                                         symbol - alphabet_size_) * k;
+      simd::Add(out, row, k);
       return;
     }
     if (symbol == kCsrvSentinel) return;
@@ -531,19 +336,19 @@ void GcMatrix::MultiplyRightMultiRange(const DenseMatrix& x, DenseMatrix* y,
     double value = dict[value_id];
     const double* x_row =
         x.data().data() +
-        static_cast<std::size_t>(packed - value_id * cols) * k + t0;
-    simd::Axpy(out, value, x_row, kb);
+        static_cast<std::size_t>(packed - value_id * cols) * k;
+    simd::Axpy(out, value, x_row, k);
   };
   for (std::size_t i = 0; i < rule_count_; ++i) {
-    double* row = w.data() + i * kb;
+    double* row = w.data() + i * k;
     add_symbol(RuleLeft(i), row);
     add_symbol(RuleRight(i), row);
   }
   std::size_t row = 0;
   ForEachFinalSymbol([&](u32 symbol) {
     if (symbol == kCsrvSentinel) {
-      for (std::size_t t = 0; t < kb; ++t) {
-        y->Set(row, t0 + t, acc[t]);
+      for (std::size_t t = 0; t < k; ++t) {
+        y.Set(row, t, acc[t]);
         acc[t] = 0.0;
       }
       ++row;
@@ -553,36 +358,27 @@ void GcMatrix::MultiplyRightMultiRange(const DenseMatrix& x, DenseMatrix* y,
   });
   GCM_CHECK_MSG(row == rows_, "compressed sequence closed " << row
                                   << " rows, expected " << rows_);
-}
-
-DenseMatrix GcMatrix::MultiplyRightMulti(const DenseMatrix& x,
-                                         ThreadPool* pool) const {
-  GCM_CHECK_MSG(x.rows() == cols_,
-                "MultiplyRightMulti: X has " << x.rows() << " rows, expected "
-                                             << cols_);
-  DenseMatrix y(rows_, x.cols());
-  // Batches write disjoint column ranges of y, so they can run in parallel.
-  ForEachColumnBatch(x.cols(), pool, [&](std::size_t t0, std::size_t t1) {
-    MultiplyRightMultiRange(x, &y, t0, t1);
-  });
   return y;
 }
 
-void GcMatrix::MultiplyLeftMultiRange(const DenseMatrix& x, DenseMatrix* out,
-                                      std::size_t t0, std::size_t t1) const {
-  const std::size_t kb = t1 - t0;  // batch width
+DenseMatrix GcMatrix::MultiplyLeftMulti(const DenseMatrix& x) const {
+  GCM_CHECK_MSG(x.cols() == rows_,
+                "MultiplyLeftMulti: X has " << x.cols()
+                                            << " columns, expected " << rows_);
+  const std::size_t k = x.rows();
+  DenseMatrix out(k, cols_);
   const std::vector<double>& dict = *dict_;
   const u32 cols = static_cast<u32>(cols_);
   const U32Divisor by_cols = ColsDivisor(cols_);
-  std::vector<double> w(rule_count_ * kb, 0.0);
+  std::vector<double> w(rule_count_ * k, 0.0);
 
   std::size_t row = 0;
   auto scatter = [&](u32 symbol, const double* weights) {
     if (symbol >= alphabet_size_) {
       GCM_DCHECK_BOUNDS(symbol - alphabet_size_, rule_count_);
       double* dest = w.data() + static_cast<std::size_t>(
-                                    symbol - alphabet_size_) * kb;
-      simd::Add(dest, weights, kb);
+                                    symbol - alphabet_size_) * k;
+      simd::Add(dest, weights, k);
     } else {
       u32 packed = symbol - 1;
       u32 value_id = by_cols.Divide(packed);
@@ -590,42 +386,28 @@ void GcMatrix::MultiplyLeftMultiRange(const DenseMatrix& x, DenseMatrix* out,
       double value = dict[value_id];
       u32 column = packed - value_id * cols;
       // Output columns are strided by cols, so this scatter stays scalar.
-      for (std::size_t t = 0; t < kb; ++t) {
-        out->Set(t0 + t, column,
-                 out->At(t0 + t, column) + value * weights[t]);
+      for (std::size_t t = 0; t < k; ++t) {
+        out.Set(t, column, out.At(t, column) + value * weights[t]);
       }
     }
   };
-  std::vector<double> row_weights(kb);
+  std::vector<double> row_weights(k);
   ForEachFinalSymbol([&](u32 symbol) {
     if (symbol == kCsrvSentinel) {
       ++row;
       return;
     }
-    for (std::size_t t = 0; t < kb; ++t) row_weights[t] = x.At(t0 + t, row);
+    for (std::size_t t = 0; t < k; ++t) row_weights[t] = x.At(t, row);
     scatter(symbol, row_weights.data());
   });
   GCM_CHECK_MSG(row == rows_, "compressed sequence closed " << row
                                   << " rows, expected " << rows_);
   for (std::size_t j = rule_count_; j-- > 0;) {
-    const double* weights = w.data() + j * kb;
-    if (!simd::AnyNonZero(weights, kb)) continue;
+    const double* weights = w.data() + j * k;
+    if (!simd::AnyNonZero(weights, k)) continue;
     scatter(RuleLeft(j), weights);
     scatter(RuleRight(j), weights);
   }
-}
-
-DenseMatrix GcMatrix::MultiplyLeftMulti(const DenseMatrix& x,
-                                        ThreadPool* pool) const {
-  GCM_CHECK_MSG(x.cols() == rows_,
-                "MultiplyLeftMulti: X has " << x.cols()
-                                            << " columns, expected " << rows_);
-  DenseMatrix out(x.rows(), cols_);
-  // Batches write disjoint rows of `out` (one per left-hand vector), so
-  // they can run in parallel.
-  ForEachColumnBatch(x.rows(), pool, [&](std::size_t t0, std::size_t t1) {
-    MultiplyLeftMultiRange(x, &out, t0, t1);
-  });
   return out;
 }
 
@@ -653,12 +435,58 @@ void GcMatrix::ExpandSymbol(u32 symbol, std::vector<u32>* stack,
 }
 
 std::vector<u32> GcMatrix::DecompressSequence() const {
-  std::vector<u32> out;
-  out.reserve(c_length_);
+  // Expansion length of every rule (one forward pass over R), summed over
+  // C: the output is allocated once, at its exact size. The checked adds
+  // keep a crafted grammar from wrapping the size and overrunning `out`.
+  auto add = [](u64 a, u64 b) {
+    GCM_CHECK_MSG(a <= ~u64{0} - b, "GcMatrix expansion overflows 64 bits");
+    return a + b;
+  };
+  std::vector<u64> length(rule_count_);
+  auto length_of = [&](u32 symbol) -> u64 {
+    return symbol < alphabet_size_ ? 1 : length[symbol - alphabet_size_];
+  };
+  for (std::size_t i = 0; i < rule_count_; ++i) {
+    length[i] = add(length_of(RuleLeft(i)), length_of(RuleRight(i)));
+  }
+  u64 total = 0;
+  ForEachFinalSymbol(
+      [&](u32 symbol) { total = add(total, length_of(symbol)); });
+
+  // Expand C left to right. A rule is walked only at its first occurrence;
+  // every later occurrence copies that finished stretch of the output
+  // (rules reference only earlier rules, so it never contains itself).
+  constexpr u64 kNotSeen = ~u64{0};
+  std::vector<u64> first(rule_count_, kNotSeen);
+  std::vector<u32> out(total);
+  u32* const base = out.data();
+  u32* next = base;
   std::vector<u32> stack;
   ForEachFinalSymbol([&](u32 symbol) {
-    ExpandSymbol(symbol, &stack, [&](u32 t) { out.push_back(t); });
+    if (symbol < alphabet_size_) {
+      *next++ = symbol;
+      return;
+    }
+    stack.push_back(symbol);
+    while (!stack.empty()) {
+      u32 top = stack.back();
+      stack.pop_back();
+      if (top < alphabet_size_) {
+        *next++ = top;
+        continue;
+      }
+      u32 rule = top - alphabet_size_;
+      GCM_DCHECK_BOUNDS(rule, rule_count_);
+      if (first[rule] != kNotSeen) {
+        next = std::copy_n(base + first[rule], length[rule], next);
+        continue;
+      }
+      first[rule] = static_cast<u64>(next - base);
+      stack.push_back(RuleRight(rule));
+      stack.push_back(RuleLeft(rule));
+    }
   });
+  GCM_DCHECK(next == base + total);
   return out;
 }
 
@@ -726,15 +554,15 @@ void GcMatrix::PrefetchPayload() const {
   switch (format_) {
     case GcFormat::kCsrv:
     case GcFormat::kRe32:
-      touch(c_plain_.data(), c_plain_.size() * sizeof(u32));
+      touch(c_plain().data(), c_plain().size() * sizeof(u32));
       touch(r_plain_.data(), r_plain_.size() * sizeof(u32));
       break;
     case GcFormat::kReIv:
-      touch(c_packed_.words().data(), c_packed_.SizeInBytes());
+      touch(c_packed().words().data(), c_packed().SizeInBytes());
       touch(r_packed_.words().data(), r_packed_.SizeInBytes());
       break;
     case GcFormat::kReAns:
-      touch(c_ans_.chunks.data(), c_ans_.chunks.size() * sizeof(u32));
+      touch(c_ans().chunks.data(), c_ans().chunks.size() * sizeof(u32));
       touch(r_packed_.words().data(), r_packed_.SizeInBytes());
       break;
   }
@@ -750,17 +578,17 @@ void GcMatrix::Serialize(ByteWriter* writer) const {
   switch (format_) {
     case GcFormat::kCsrv:
     case GcFormat::kRe32:
-      writer->PutArray(c_plain_);
+      writer->PutArray(c_plain());
       writer->PutArray(r_plain_);
       break;
     case GcFormat::kReIv:
-      writer->Put<u8>(static_cast<u8>(c_packed_.width()));
-      writer->PutArray(c_packed_.words());
+      writer->Put<u8>(static_cast<u8>(c_packed().width()));
+      writer->PutArray(c_packed().words());
       writer->Put<u8>(static_cast<u8>(r_packed_.width()));
       writer->PutArray(r_packed_.words());
       break;
     case GcFormat::kReAns:
-      c_ans_.Serialize(writer);
+      c_ans().Serialize(writer);
       writer->Put<u8>(static_cast<u8>(r_packed_.width()));
       writer->PutArray(r_packed_.words());
       break;
@@ -797,24 +625,25 @@ GcMatrix GcMatrix::Deserialize(ByteReader* reader, SharedDict dict) {
   switch (m.format_) {
     case GcFormat::kCsrv:
     case GcFormat::kRe32: {
-      m.c_plain_ = reader->GetArray<u32>();
+      m.c_ = reader->GetArray<u32>();
       m.r_plain_ = reader->GetArray<u32>();
-      GCM_CHECK_MSG(m.c_plain_.size() == m.c_length_ &&
+      GCM_CHECK_MSG(m.c_plain().size() == m.c_length_ &&
                         m.r_plain_.size() == 2 * m.rule_count_,
                     "corrupt GcMatrix: payload length mismatch");
       break;
     }
     case GcFormat::kReIv: {
       u8 c_width = reader->Get<u8>();
-      m.c_packed_.RestoreFrom(m.c_length_, c_width, reader->GetArray<u64>());
+      m.c_.emplace<IntVector>().RestoreFrom(m.c_length_, c_width,
+                                            reader->GetArray<u64>());
       u8 r_width = reader->Get<u8>();
       m.r_packed_.RestoreFrom(2 * m.rule_count_, r_width,
                               reader->GetArray<u64>());
       break;
     }
     case GcFormat::kReAns: {
-      m.c_ans_ = RansStream::Deserialize(reader);
-      GCM_CHECK_MSG(m.c_ans_.symbol_count == m.c_length_,
+      m.c_ = RansStream::Deserialize(reader);
+      GCM_CHECK_MSG(m.c_ans().symbol_count == m.c_length_,
                     "corrupt GcMatrix: ANS payload length mismatch");
       u8 r_width = reader->Get<u8>();
       m.r_packed_.RestoreFrom(2 * m.rule_count_, r_width,

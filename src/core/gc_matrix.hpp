@@ -23,6 +23,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "encoding/int_vector.hpp"
@@ -34,8 +35,6 @@
 #include "util/common.hpp"
 
 namespace gcm {
-
-class ThreadPool;
 
 enum class GcFormat { kCsrv, kRe32, kReIv, kReAns };
 
@@ -115,35 +114,23 @@ class GcMatrix {
   /// internally -- it is the auxiliary space of Theorems 3.4/3.10, not
   /// part of the result.
   ///
-  /// When `pool` is given and C is randomly accessible (every format but
-  /// re_ans, whose stream decodes strictly forward), the scan of C is
-  /// split into per-worker chunks: a first parallel pass counts row
-  /// sentinels per chunk, a prefix sum assigns each chunk its starting
-  /// row, and a second parallel pass evaluates the chunks independently --
-  /// rows split across a chunk boundary are stitched by an O(#chunks)
-  /// sequential fix-up. The R passes keep their sequential dependency
-  /// chain. Short sequences and re_ans fall back to the sequential scan.
-  void MultiplyRightInto(std::span<const double> x, std::span<double> y,
-                         ThreadPool* pool = nullptr) const;
-  void MultiplyLeftInto(std::span<const double> y, std::span<double> x,
-                        ThreadPool* pool = nullptr) const;
+  /// Every kernel of one GcMatrix is a single sequential scan; parallelism
+  /// comes from the containers above it (row blocks, shards).
+  void MultiplyRightInto(std::span<const double> x, std::span<double> y) const;
+  void MultiplyLeftInto(std::span<const double> y, std::span<double> x) const;
 
   /// Y = M X for a dense right-hand side X (cols x k): the multi-vector
   /// generalization of Theorem 3.4. One pass over R and one over C with
   /// k-wide accumulators; cost O(k(|C| + |R|)), space O(k|R|).
-  /// When `pool` is given, the k columns are split into one batch per
-  /// worker and processed in parallel (each batch re-runs the R pass and
-  /// the C scan on its own slice, so aux space stays O(k|R|) overall).
-  DenseMatrix MultiplyRightMulti(const DenseMatrix& x,
-                                 ThreadPool* pool = nullptr) const;
+  DenseMatrix MultiplyRightMulti(const DenseMatrix& x) const;
 
   /// Y = X M for a dense left-hand side X (k x rows): multi-vector
-  /// generalization of Theorem 3.10. Same column-batch parallelism as
-  /// MultiplyRightMulti when `pool` is given.
-  DenseMatrix MultiplyLeftMulti(const DenseMatrix& x,
-                                ThreadPool* pool = nullptr) const;
+  /// generalization of Theorem 3.10.
+  DenseMatrix MultiplyLeftMulti(const DenseMatrix& x) const;
 
   /// Reconstructs the CSRV sequence S (for verification / decompression).
+  /// Two passes over C: one sizes S exactly from the rule lengths, one
+  /// expands it; each rule is walked once, later uses copy its first one.
   std::vector<u32> DecompressSequence() const;
 
   /// Extracts one row as a dense vector without decompressing the rest of
@@ -176,32 +163,11 @@ class GcMatrix {
   template <typename F>
   void ForEachFinalSymbol(F&& fn) const;
 
-  /// Random access into C; valid for every format but kReAns.
-  u32 FinalSymbolAt(std::size_t i) const;
-
-  /// Chunks the scan of C for `pool`: 1 = run sequentially (no pool, a
-  /// forward-only C encoding, or a sequence too short to amortize the
-  /// two-pass overhead).
-  std::size_t ScanChunkCount(const ThreadPool* pool) const;
-
-  /// Per-chunk sentinel counts over C and their exclusive prefix sum (the
-  /// starting row of each chunk); validates the total against rows().
-  std::vector<std::size_t> ChunkRowStarts(std::size_t chunks,
-                                          ThreadPool* pool) const;
-
-  void ParallelRightScan(std::span<const double> x, std::span<double> y,
-                         const std::vector<double>& w, std::size_t chunks,
-                         ThreadPool* pool) const;
-  void ParallelLeftScan(std::span<const double> y, std::span<double> x,
-                        std::vector<double>* w, std::size_t chunks,
-                        ThreadPool* pool) const;
-
-  /// Multi-vector kernels restricted to the column batch [t0, t1) of X;
-  /// the unit of work of the pool-parallel Multi drivers.
-  void MultiplyRightMultiRange(const DenseMatrix& x, DenseMatrix* y,
-                               std::size_t t0, std::size_t t1) const;
-  void MultiplyLeftMultiRange(const DenseMatrix& x, DenseMatrix* out,
-                              std::size_t t0, std::size_t t1) const;
+  /// The C representation of each format (the variant throws on a
+  /// mismatch): plain for kCsrv/kRe32, packed for kReIv, rANS for kReAns.
+  const ArrayRef<u32>& c_plain() const { return std::get<ArrayRef<u32>>(c_); }
+  const IntVector& c_packed() const { return std::get<IntVector>(c_); }
+  const RansStream& c_ans() const { return std::get<RansStream>(c_); }
 
   u32 RuleLeft(std::size_t i) const;
   u32 RuleRight(std::size_t i) const;
@@ -219,12 +185,11 @@ class GcMatrix {
   std::size_t c_length_ = 0;  ///< |C|
   std::size_t rule_count_ = 0;
 
-  // Exactly one C representation and one R representation is populated,
-  // selected by format_. The plain arrays are ArrayRefs so a snapshot
-  // loaded from a mapping borrows them in place (see util/array_ref.hpp).
-  ArrayRef<u32> c_plain_;      // kCsrv, kRe32
-  IntVector c_packed_;         // kReIv
-  RansStream c_ans_;           // kReAns
+  // C holds exactly one representation, selected by format_; exactly one
+  // R representation is populated. The plain arrays are ArrayRefs so a
+  // snapshot loaded from a mapping borrows them in place (see
+  // util/array_ref.hpp).
+  std::variant<ArrayRef<u32>, IntVector, RansStream> c_;
   ArrayRef<u32> r_plain_;      // kRe32 (flattened pairs)
   IntVector r_packed_;         // kReIv, kReAns
 };

@@ -8,8 +8,8 @@
 // API: the three iteration vectors are allocated once and the loop calls
 // only the *Into kernels. Those do not allocate for dense / csr / csrv,
 // but the grammar backends do: GcMatrix::Multiply*Into heap-allocates a
-// rule_count-sized W on every call (plus per-chunk partials when pooled),
-// blocked matrices add one cols-sized partial per block on the left, and
+// rule_count-sized W on every call, blocked matrices add one cols-sized
+// partial per block on the left, and
 // sharded left multiplies one partial per shard. The measured peak is the
 // compressed matrix plus those per-call arrays; ROADMAP item 4 moves them
 // into a caller-owned workspace.

@@ -103,6 +103,10 @@ class ByteWriter {
   void EnableAlignedArrays() { aligned_arrays_ = true; }
   bool aligned_arrays() const { return aligned_arrays_; }
 
+  /// Pre-sizes the buffer for `bytes` in total, so appends up to that size
+  /// never reallocate.
+  void Reserve(std::size_t bytes) { buffer_.reserve(bytes); }
+
   const std::vector<u8>& buffer() const { return buffer_; }
   std::vector<u8> TakeBuffer() { return std::move(buffer_); }
   std::size_t size() const { return buffer_.size(); }

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -151,29 +152,38 @@ ByteWriter& SnapshotWriter::BeginSection(const std::string& name,
 }
 
 std::vector<u8> SnapshotWriter::Finish() const {
-  // Body = everything covered by the checksum (spec + section table,
-  // padding included). Section payloads land at file offsets that are
-  // multiples of their declared alignment; the body starts at file offset
-  // 12 (after magic/version/crc).
+  // Header (magic, version, checksum placeholder), then the body: spec and
+  // section table, padding included, each payload at a file offset that is
+  // a multiple of its declared alignment. The checksum covers the body and
+  // is patched into the header last, so every payload is copied once.
+  constexpr std::size_t kCrcOffset = 8;
   constexpr std::size_t kHeaderBytes = 12;
-  ByteWriter body;
-  body.PutString(spec_);
-  body.PutVarint(sections_.size());
+  std::size_t capacity = kHeaderBytes + VarintSize(spec_.size()) +
+                         spec_.size() + VarintSize(sections_.size());
   for (const PendingSection& section : sections_) {
-    body.PutString(section.name);
-    body.Put<u8>(static_cast<u8>(section.alignment));
-    body.PutVarint(section.writer.size());
-    while ((kHeaderBytes + body.size()) % section.alignment != 0) {
-      body.Put<u8>(0);
-    }
-    body.PutBytes(section.writer.buffer().data(), section.writer.size());
+    capacity += VarintSize(section.name.size()) + section.name.size() + 1 +
+                VarintSize(section.writer.size()) + section.alignment - 1 +
+                section.writer.size();
   }
   ByteWriter out;
+  out.Reserve(capacity);  // an upper bound: the appends never reallocate
   out.Put<u32>(kSnapshotMagic);
   out.Put<u32>(kSnapshotVersion);
-  out.Put<u32>(Crc32(body.buffer().data(), body.size()));
-  out.PutBytes(body.buffer().data(), body.size());
-  return out.TakeBuffer();
+  out.Put<u32>(0);
+  out.PutString(spec_);
+  out.PutVarint(sections_.size());
+  for (const PendingSection& section : sections_) {
+    out.PutString(section.name);
+    out.Put<u8>(static_cast<u8>(section.alignment));
+    out.PutVarint(section.writer.size());
+    out.PadTo(section.alignment);
+    out.PutBytes(section.writer.buffer().data(), section.writer.size());
+  }
+  std::vector<u8> bytes = out.TakeBuffer();
+  const u32 crc = Crc32(bytes.data() + kHeaderBytes,
+                        bytes.size() - kHeaderBytes);
+  std::memcpy(bytes.data() + kCrcOffset, &crc, sizeof(crc));
+  return bytes;
 }
 
 void SnapshotWriter::WriteFile(const std::string& path) const {

@@ -1,14 +1,15 @@
-// Shared chunked partial-accumulation scratch.
+// Shared per-task partial-accumulation scratch.
 //
 // Every parallel scatter kernel in the tree follows the same idiom: give
 // each task a private zeroed accumulator row, run the tasks, then reduce
 // the rows into the output in task order so the summation order -- and
 // therefore the floating-point result -- is independent of how the pool
-// scheduled the tasks. That idiom used to be copy-pasted (GcMatrix left
-// scan, BlockedGcMatrix left multiply, ClaMatrix right groups); it lives
-// here now. One flat allocation replaces the former vector<vector<double>>:
-// one zero-fill, no per-task allocation inside the pool, and the reduce
-// streams contiguous memory through simd::Add.
+// scheduled the tasks. Its users are BlockedGcMatrix's left multiply
+// (one row per block), ShardedMatrix's pooled left multiply (one per
+// shard) and ClaMatrix's right groups. One flat allocation replaces the
+// former vector<vector<double>>: one zero-fill, no per-task allocation
+// inside the pool, and the reduce streams contiguous memory through
+// simd::Add.
 #pragma once
 
 #include <cstddef>

@@ -7,7 +7,6 @@
 //   simd::Add(out, a, n)            out[i] += a[i]
 //   simd::Axpy(out, v, x, n)        out[i] += v * x[i]   (never fused)
 //   simd::AnyNonZero(p, n)          any p[i] != 0.0 (NaN counts)
-//   simd::CountEqualsU32(p, n, v)   exact match count
 //   simd::Prefetch(p)               cache-line hint
 //   simd::ScopedForceScalar         route to scalar loops at runtime
 //   simd::VectorActive()            vector unit in use for next call?

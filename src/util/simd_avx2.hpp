@@ -1,4 +1,4 @@
-// AVX2 SIMD backend: 4-wide double lanes, 8-wide u32 compares.
+// AVX2 SIMD backend: 4-wide double lanes.
 //
 // Selected by the facade (util/simd.hpp) when GCM_SIMD_AVX2 is defined.
 // Do not include this header directly; include "util/simd.hpp".
@@ -21,7 +21,6 @@
 #include <immintrin.h>
 
 #include <atomic>
-#include <bit>
 #include <cstddef>
 
 #include "util/common.hpp"
@@ -103,26 +102,6 @@ inline bool AnyNonZero(const double* p, std::size_t n) {
     if (_mm256_movemask_pd(neq) != 0) return true;
   }
   return simd_portable::AnyNonZero(p + i, n - i);
-}
-
-/// Number of elements equal to `value` (exact integer compare; used for
-/// the sentinel-count C-sequence walk when chunking rows).
-inline std::size_t CountEqualsU32(const u32* p, std::size_t n, u32 value) {
-  if (detail::ForcedScalar()) {
-    return simd_portable::CountEqualsU32(p, n, value);
-  }
-  const __m256i target = _mm256_set1_epi32(static_cast<int>(value));
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
-    __m256i eq = _mm256_cmpeq_epi32(v, target);
-    unsigned mask = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(eq)));
-    count += static_cast<std::size_t>(std::popcount(mask));
-  }
-  return count + simd_portable::CountEqualsU32(p + i, n - i, value);
 }
 
 /// Prefetch the cache line holding `p` into all cache levels.

@@ -36,15 +36,6 @@ inline bool AnyNonZero(const double* p, std::size_t n) {
   return false;
 }
 
-/// Number of elements equal to `value` (exact integer compare).
-inline std::size_t CountEqualsU32(const u32* p, std::size_t n, u32 value) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (p[i] == value) ++count;
-  }
-  return count;
-}
-
 }  // namespace gcm::simd_portable
 
 namespace gcm::simd {

@@ -40,10 +40,6 @@ inline bool AnyNonZero(const double* p, std::size_t n) {
   return simd_portable::AnyNonZero(p, n);
 }
 
-inline std::size_t CountEqualsU32(const u32* p, std::size_t n, u32 value) {
-  return simd_portable::CountEqualsU32(p, n, value);
-}
-
 /// Best-effort prefetch hint; harmless to drop on compilers without one.
 inline void Prefetch(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)

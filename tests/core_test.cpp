@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/any_matrix.hpp"
@@ -154,13 +156,52 @@ TEST(GcMatrixTest, PackedVariantSmallerThan32Bit) {
 
 TEST(GcMatrixTest, DecompressSequenceMatchesCsrv) {
   Rng rng(107);
-  DenseMatrix m = DenseMatrix::Random(30, 9, 0.6, 5, &rng);
-  CsrvMatrix csrv = CsrvMatrix::FromDense(m);
-  for (GcFormat format : kAllFormats) {
-    GcMatrix gc = GcMatrix::FromCsrv(csrv, {format, 12, 0});
-    EXPECT_EQ(gc.DecompressSequence(), csrv.sequence())
-        << FormatName(format);
+  DenseMatrix random = DenseMatrix::Random(30, 9, 0.6, 5, &rng);
+  // Rows drawn from three patterns: the rules nest deeply and most C
+  // symbols repeat a rule already expanded earlier in the output.
+  DenseMatrix patterns = DenseMatrix::Random(3, 40, 0.7, 4, &rng);
+  DenseMatrix repetitive(300, 40);
+  for (std::size_t r = 0; r < repetitive.rows(); ++r) {
+    for (std::size_t c = 0; c < repetitive.cols(); ++c) {
+      repetitive.Set(r, c, patterns.At(r % 7 < 4 ? 0 : r % 3, c));
+    }
   }
+  for (const DenseMatrix* m : {&random, &repetitive}) {
+    CsrvMatrix csrv = CsrvMatrix::FromDense(*m);
+    for (GcFormat format : kAllFormats) {
+      GcMatrix gc = GcMatrix::FromCsrv(csrv, {format, 12, 0});
+      EXPECT_EQ(gc.DecompressSequence(), csrv.sequence())
+          << FormatName(format) << " on " << m->rows() << " rows";
+    }
+  }
+}
+
+TEST(GcMatrixTest, DecompressSequenceRejectsOverflowingExpansion) {
+  // A checksum-valid but crafted grammar: rule i = (N_{i-1}, N_{i-1})
+  // expands to 2^(i+1) terminals, so 70 rules overflow a 64-bit length.
+  // The size must fail by name rather than wrap and overrun the output.
+  auto dict = std::make_shared<const std::vector<double>>(
+      std::vector<double>{1.5});
+  const u32 alphabet = 2;  // sentinel + one (value, column) terminal
+  const u32 rules = 70;
+  std::vector<u32> r = {1, 1};
+  for (u32 i = 1; i < rules; ++i) {
+    r.push_back(alphabet + i - 1);
+    r.push_back(alphabet + i - 1);
+  }
+  std::vector<u32> c = {alphabet + rules - 1, kCsrvSentinel};
+  ByteWriter w;
+  w.Put<u8>(static_cast<u8>(GcFormat::kRe32));
+  w.PutVarint(1);  // rows
+  w.PutVarint(1);  // cols
+  w.PutVarint(alphabet);
+  w.PutVarint(c.size());
+  w.PutVarint(rules);
+  w.PutArray(std::span<const u32>(c));
+  w.PutArray(std::span<const u32>(r));
+  ByteReader reader(w.buffer());
+  GcMatrix gc = GcMatrix::Deserialize(&reader, dict);
+  EXPECT_THROW(gc.DecompressSequence(), Error);
 }
 
 TEST(GcMatrixTest, CorruptSerializationRejected) {

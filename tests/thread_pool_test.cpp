@@ -49,8 +49,9 @@ TEST(ThreadPoolNestingTest, NestedParallelForFromSubmittedTaskCompletes) {
 }
 
 TEST(ThreadPoolNestingTest, TripleNestingCompletesOnSmallPool) {
-  // Three levels deep on two workers: sharded store build -> blocked inner
-  // build -> chunked kernel scan is exactly this shape.
+  // Three levels deep on two workers: one level deeper than the deepest
+  // nesting in the tree (a pooled sharded multiply over blocked shards
+  // runs shards -> blocks).
   ThreadPool pool(2);
   std::atomic<int> visits{0};
   pool.ParallelFor(3, [&](std::size_t) {
