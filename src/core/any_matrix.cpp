@@ -255,10 +255,21 @@ GcBuildOptions GcOptionsFromSpec(const MatrixSpec& spec) {
   return options;
 }
 
+/// The `blocks` key of the gcm and auto families: 1 (the default) is the
+/// unblocked matrix, and 0 names no layout at all.
+std::size_t BlockCountFromSpec(const MatrixSpec& spec) {
+  std::size_t blocks = spec.GetSize("blocks", 1);
+  if (blocks == 0) {
+    throw std::invalid_argument(
+        "spec key \"blocks\": block count must be positive, got 0");
+  }
+  return blocks;
+}
+
 AnyMatrix BuildGcmSpec(const DenseMatrix& dense, const MatrixSpec& spec,
                        const BuildContext& ctx) {
   GcBuildOptions options = GcOptionsFromSpec(spec);
-  std::size_t blocks = spec.GetSize("blocks", 1);
+  std::size_t blocks = BlockCountFromSpec(spec);
   if (blocks > 1) {
     return AnyMatrix::Wrap(
         BlockedGcMatrix::Build(dense, blocks, options, {}, ctx));
@@ -282,7 +293,7 @@ AnyMatrix BuildAutoSpec(const DenseMatrix& dense, const MatrixSpec& spec,
                         const BuildContext& ctx) {
   AdvisorConstraints constraints;
   constraints.memory_budget_bytes = spec.GetBytes("budget", 0);
-  constraints.blocks = spec.GetSize("blocks", 1);
+  constraints.blocks = BlockCountFromSpec(spec);
   constraints.sample_rows =
       spec.GetSize("sample_rows", constraints.sample_rows);
   return AdviseFormat(dense, constraints, nullptr, ctx);
@@ -594,7 +605,7 @@ AnyMatrix AnyMatrix::Build(std::size_t rows, std::size_t cols,
   }
   if (spec.family == "gcm") {
     GcBuildOptions options = GcOptionsFromSpec(spec);
-    std::size_t blocks = spec.GetSize("blocks", 1);
+    std::size_t blocks = BlockCountFromSpec(spec);
     if (blocks > 1) {
       return Wrap(BlockedGcMatrix::FromCsrv(
           CsrvFromTriplets(rows, cols, std::move(entries)), blocks, options,

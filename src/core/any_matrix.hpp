@@ -108,11 +108,12 @@ class IMatrixKernel {
   /// Multi-vector kernels: Y = M X (X: cols x k, Y: rows x k) and
   /// Y = X M (X: k x rows, Y: k x cols); outputs are fully overwritten.
   /// The defaults loop the single-vector *Into kernels one input vector at
-  /// a time; backends that can amortize work across vectors (an unblocked
-  /// GcMatrix shares one scan of C and R for all k columns, sharded
-  /// matrices scatter whole batches) override them. Contract: vector j of
-  /// the result is bitwise identical to a sequential single-vector call on
-  /// input j, so a caller may group vectors without changing any answer.
+  /// a time. Only an unblocked GcMatrix overrides them: it shares one scan
+  /// of C and R among all k columns. Containers (row blocks, shards,
+  /// cluster ranges) have no shared pass to amortize and keep the
+  /// defaults. Contract: vector j of the result is bitwise identical to a
+  /// sequential single-vector call on input j, so a caller may group
+  /// vectors without changing any answer.
   virtual void MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
                                   const MulContext& ctx) const;
   virtual void MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,

@@ -11,8 +11,8 @@
 // rule_count-sized W on every call, blocked matrices add one cols-sized
 // partial per block on the left, and
 // sharded left multiplies one partial per shard. The measured peak is the
-// compressed matrix plus those per-call arrays; ROADMAP item 4 moves them
-// into a caller-owned workspace.
+// compressed matrix plus those per-call arrays; the ROADMAP item on a fused
+// Eq. (4) kernel moves them into a caller-owned workspace.
 #pragma once
 
 #include <cstddef>

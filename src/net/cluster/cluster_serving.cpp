@@ -65,16 +65,6 @@ void LoopbackCluster::MultiplyLeftInto(std::span<const double> y,
   remote_->MultiplyLeftInto(y, x, ctx);
 }
 
-void LoopbackCluster::MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
-                                         const MulContext& ctx) const {
-  remote_->MultiplyRightMulti(x, y, ctx);
-}
-
-void LoopbackCluster::MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
-                                        const MulContext& ctx) const {
-  remote_->MultiplyLeftMulti(x, y, ctx);
-}
-
 DenseMatrix LoopbackCluster::ToDense() const { return local_.ToDense(); }
 
 void LoopbackCluster::SaveSections(SnapshotWriter* out) const {

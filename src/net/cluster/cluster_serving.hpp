@@ -82,10 +82,6 @@ class LoopbackCluster final : public IMatrixKernel {
                          const MulContext& ctx) const override;
   void MultiplyLeftInto(std::span<const double> y, std::span<double> x,
                         const MulContext& ctx) const override;
-  void MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
-                          const MulContext& ctx) const override;
-  void MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
-                         const MulContext& ctx) const override;
 
   DenseMatrix ToDense() const override;
   void SaveSections(SnapshotWriter* out) const override;

@@ -240,8 +240,7 @@ void RemoteShardedMatrix::RunJobs(std::vector<RangeJob>& jobs,
   ++stats_.scatters;
   try {
     // Scatter everything before the first await: per-worker connections
-    // are pipelined, so all ranges (and all batch vectors) are in flight
-    // at once.
+    // are pipelined, so all ranges are in flight at once.
     for (RangeJob& job : jobs) SendJob(job, right, backoff);
     for (RangeJob& job : jobs) GatherJob(job, right, backoff);
   } catch (...) {
@@ -291,65 +290,6 @@ void RemoteShardedMatrix::MultiplyLeftInto(std::span<const double> y,
   std::fill(x.begin(), x.end(), 0.0);
   for (const RangeJob& job : jobs) {
     for (std::size_t c = 0; c < x.size(); ++c) x[c] += job.result[c];
-  }
-}
-
-void RemoteShardedMatrix::MultiplyRightMulti(const DenseMatrix& x,
-                                             DenseMatrix* y,
-                                             const MulContext&) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t k = x.cols();
-  const std::size_t ranges = manifest_.ranges.size();
-  std::vector<RangeJob> jobs(ranges * k);
-  for (std::size_t i = 0; i < ranges; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      RangeJob& job = jobs[i * k + j];
-      job.range = i;
-      job.vec = j;
-      job.x.resize(manifest_.cols);
-      for (std::size_t c = 0; c < manifest_.cols; ++c) {
-        job.x[c] = x.At(c, j);
-      }
-    }
-  }
-  RunJobs(jobs, /*right=*/true);
-  for (const RangeJob& job : jobs) {
-    const ClusterRange& range = manifest_.ranges[job.range];
-    for (std::size_t r = 0; r < range.rows(); ++r) {
-      y->Set(range.row_begin + r, job.vec, job.result[r]);
-    }
-  }
-}
-
-void RemoteShardedMatrix::MultiplyLeftMulti(const DenseMatrix& x,
-                                            DenseMatrix* y,
-                                            const MulContext&) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t k = x.rows();
-  const std::size_t ranges = manifest_.ranges.size();
-  std::vector<RangeJob> jobs(ranges * k);
-  for (std::size_t i = 0; i < ranges; ++i) {
-    const ClusterRange& range = manifest_.ranges[i];
-    for (std::size_t j = 0; j < k; ++j) {
-      RangeJob& job = jobs[i * k + j];
-      job.range = i;
-      job.vec = j;
-      job.x.resize(range.rows());
-      for (std::size_t c = 0; c < range.rows(); ++c) {
-        job.x[c] = x.At(j, range.row_begin + c);
-      }
-    }
-  }
-  RunJobs(jobs, /*right=*/false);
-  for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t c = 0; c < manifest_.cols; ++c) y->Set(j, c, 0.0);
-  }
-  // Jobs are range-major, so iterating them in order folds each vector's
-  // partials in manifest order -- the bitwise contract again.
-  for (const RangeJob& job : jobs) {
-    for (std::size_t c = 0; c < manifest_.cols; ++c) {
-      y->Set(job.vec, c, y->At(job.vec, c) + job.result[c]);
-    }
   }
 }
 

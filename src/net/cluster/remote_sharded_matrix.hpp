@@ -91,12 +91,9 @@ class RemoteShardedMatrix final : public IMatrixKernel {
                          const MulContext& ctx) const override;
   void MultiplyLeftInto(std::span<const double> y, std::span<double> x,
                         const MulContext& ctx) const override;
-  void MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
-                          const MulContext& ctx) const override;
-  void MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
-                         const MulContext& ctx) const override;
 
-  /// One identity-input scatter (cols vectors in a single batch).
+  /// IMatrixKernel's per-vector multi loop over the identity columns: one
+  /// scatter per column. Multi-vector calls use the same default loop.
   DenseMatrix ToDense() const override;
 
   const ClusterManifest& manifest() const { return manifest_; }
@@ -115,11 +112,10 @@ class RemoteShardedMatrix final : public IMatrixKernel {
     u64 epoch = 0;
   };
 
-  /// One in-flight row-range request: range index, batch vector index,
-  /// input payload, retry bookkeeping, and the gathered partial.
+  /// One in-flight row-range request: range index, input payload, retry
+  /// bookkeeping, and the gathered partial.
   struct RangeJob {
     std::size_t range = 0;
-    std::size_t vec = 0;
     std::vector<double> x;
     std::size_t attempt = 0;
     bool sent = false;

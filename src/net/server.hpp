@@ -68,7 +68,7 @@ struct ServerStats {
   u64 errors_sent = 0;
   /// One dispatch per executed request, so max_batch <= 1 and
   /// batched_requests == 0. Kept for readers of the old batch counters;
-  /// ROADMAP item 7 folds them into the metrics registry.
+  /// the ROADMAP metrics-registry item folds them into the registry.
   u64 batches_dispatched = 0;
   u64 batched_requests = 0;
   u64 max_batch = 0;

@@ -300,138 +300,69 @@ std::size_t ShardedMatrix::EvictToResidentBytes(u64 max_bytes) const {
 // Kernels
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The one shard fan-out behind every kernel: runs fn(i, inner) for the
+/// shards i in [first, last). With a pool and more than one shard, shards
+/// are the parallel grain and their kernels run sequentially inside their
+/// task (inner is empty): one task per shard already saturates the pool,
+/// so forwarding it inward would only add fan-out overhead. Otherwise the
+/// shards run in order and each inner kernel gets the caller's context.
+/// Pool and no pool are bitwise identical either way, because every
+/// caller writes disjoint outputs per shard and folds them in shard order.
+template <typename Fn>
+void ForEachShard(std::size_t first, std::size_t last, const MulContext& ctx,
+                  Fn&& fn) {
+  if (ctx.pool != nullptr && last - first > 1) {
+    ctx.pool->ParallelFor(last - first,
+                          [&](std::size_t j) { fn(first + j, MulContext{}); });
+  } else {
+    for (std::size_t i = first; i < last; ++i) fn(i, ctx);
+  }
+}
+
+}  // namespace
+
+std::pair<std::size_t, std::size_t> ShardedMatrix::ShardsOverlapping(
+    std::size_t row_begin, std::size_t row_end) const {
+  // Manifest validation guarantees a contiguous, ordered row tiling.
+  auto first = std::partition_point(
+      states_.begin(), states_.end(),
+      [&](const auto& s) { return s->entry.row_end <= row_begin; });
+  auto last = std::partition_point(
+      first, states_.end(),
+      [&](const auto& s) { return s->entry.row_begin < row_end; });
+  return {static_cast<std::size_t>(first - states_.begin()),
+          static_cast<std::size_t>(last - states_.begin())};
+}
+
 void ShardedMatrix::MultiplyRightInto(std::span<const double> x,
                                       std::span<double> y,
                                       const MulContext& ctx) const {
-  // Scatter: each shard owns a disjoint slice of y, so the gather is the
-  // write itself and pooled/unpooled runs are bitwise identical.
-  auto run_shard = [&](std::size_t i, const MulContext& inner) {
-    const ShardState& shard = *states_[i];
-    AnyMatrix m = Acquire(shard);
-    // Manifest validation guarantees a contiguous row tiling; assert the
-    // slice really lies inside the caller's span before subspan() (an
-    // out-of-range subspan is UB, not an exception).
-    GCM_DCHECK_MSG(shard.entry.row_begin <= y.size() &&
-                       shard.entry.row_end <= y.size() &&
-                       shard.entry.row_begin <= shard.entry.row_end,
-                   "shard " << i << " rows [" << shard.entry.row_begin << ", "
-                            << shard.entry.row_end
-                            << ") outside output span of " << y.size());
-    m.MultiplyRightInto(
-        x, y.subspan(shard.entry.row_begin, shard.entry.rows()), inner);
-  };
-  if (ctx.pool != nullptr && states_.size() > 1) {
-    // Shards are the parallel grain; shard kernels run sequentially inside
-    // their task. Nested ParallelFor is safe (the worker helps drain its
-    // own range), but one task per shard already saturates the pool, so
-    // forwarding it inward would only add fan-out overhead.
-    ctx.pool->ParallelFor(states_.size(),
-                          [&](std::size_t i) { run_shard(i, MulContext{}); });
-  } else {
-    for (std::size_t i = 0; i < states_.size(); ++i) run_shard(i, ctx);
-  }
+  MultiplyRightRangeInto(x, y, 0, rows(), ctx);
 }
 
 void ShardedMatrix::MultiplyLeftInto(std::span<const double> y,
                                      std::span<double> x,
                                      const MulContext& ctx) const {
-  // Each shard contributes a full cols-sized partial; partials are summed
-  // in shard order so the reduction is deterministic with and without a
-  // pool. (This kernel allocates its scratch per call -- shards overwrite
-  // their outputs, so the partials cannot share the caller's span.)
+  // Each shard writes a full cols-sized partial (shards overwrite their
+  // outputs, so the partials cannot share the caller's span); partials are
+  // summed into a zeroed x in shard order, so the reduction is
+  // deterministic with and without a pool.
+  GCM_DCHECK_MSG(y.size() == rows() && x.size() == cols(),
+                 "left kernel: spans of " << y.size() << " and " << x.size()
+                                          << " entries for a " << rows()
+                                          << "x" << cols() << " matrix");
+  PartialVectors partials(states_.size(), cols());
+  ForEachShard(0, states_.size(), ctx,
+               [&](std::size_t i, const MulContext& inner) {
+                 const ShardState& shard = *states_[i];
+                 Acquire(shard).MultiplyLeftInto(
+                     y.subspan(shard.entry.row_begin, shard.entry.rows()),
+                     partials.part(i), inner);
+               });
   std::fill(x.begin(), x.end(), 0.0);
-  std::size_t n = states_.size();
-  if (ctx.pool != nullptr && n > 1) {
-    PartialVectors partials(n, cols());
-    ctx.pool->ParallelFor(n, [&](std::size_t i) {
-      const ShardState& shard = *states_[i];
-      AnyMatrix m = Acquire(shard);
-      GCM_DCHECK_MSG(shard.entry.row_end <= y.size() &&
-                         shard.entry.row_begin <= shard.entry.row_end,
-                     "shard " << i << " rows [" << shard.entry.row_begin
-                              << ", " << shard.entry.row_end
-                              << ") outside input span of " << y.size());
-      m.MultiplyLeftInto(
-          y.subspan(shard.entry.row_begin, shard.entry.rows()),
-          partials.part(i), MulContext{});
-    });
-    partials.AccumulateInto(x);
-  } else {
-    std::vector<double> partial(cols());
-    for (std::size_t i = 0; i < n; ++i) {
-      const ShardState& shard = *states_[i];
-      AnyMatrix m = Acquire(shard);
-      GCM_DCHECK_MSG(shard.entry.row_end <= y.size() &&
-                         shard.entry.row_begin <= shard.entry.row_end,
-                     "shard " << i << " rows [" << shard.entry.row_begin
-                              << ", " << shard.entry.row_end
-                              << ") outside input span of " << y.size());
-      m.MultiplyLeftInto(
-          y.subspan(shard.entry.row_begin, shard.entry.rows()), partial, ctx);
-      for (std::size_t c = 0; c < cols(); ++c) x[c] += partial[c];
-    }
-  }
-}
-
-void ShardedMatrix::MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
-                                       const MulContext& ctx) const {
-  // Same scatter as MultiplyRightInto, one batch at a time: each shard
-  // writes its own disjoint row block of y, so pooled shards need no
-  // synchronization and pooled/unpooled runs are bitwise identical.
-  const std::size_t k = x.cols();
-  auto run_shard = [&](std::size_t i, const MulContext& inner) {
-    const ShardState& shard = *states_[i];
-    AnyMatrix m = Acquire(shard);
-    DenseMatrix block = m.MultiplyRightMulti(x, inner);
-    for (std::size_t r = 0; r < shard.entry.rows(); ++r) {
-      for (std::size_t j = 0; j < k; ++j) {
-        y->Set(shard.entry.row_begin + r, j, block.At(r, j));
-      }
-    }
-  };
-  if (ctx.pool != nullptr && states_.size() > 1) {
-    ctx.pool->ParallelFor(states_.size(),
-                          [&](std::size_t i) { run_shard(i, MulContext{}); });
-  } else {
-    for (std::size_t i = 0; i < states_.size(); ++i) run_shard(i, ctx);
-  }
-}
-
-void ShardedMatrix::MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
-                                      const MulContext& ctx) const {
-  // Mirrors MultiplyLeftInto: one k x cols partial per shard (each fed the
-  // k x shard_rows column slice of x), summed in shard order so the
-  // reduction matches the sequential single-vector kernel bitwise.
-  const std::size_t k = x.rows();
-  const std::size_t n = states_.size();
-  auto shard_partial = [&](std::size_t i, const MulContext& inner) {
-    const ShardState& shard = *states_[i];
-    AnyMatrix m = Acquire(shard);
-    DenseMatrix slice(k, shard.entry.rows());
-    for (std::size_t j = 0; j < k; ++j) {
-      for (std::size_t c = 0; c < shard.entry.rows(); ++c) {
-        slice.Set(j, c, x.At(j, shard.entry.row_begin + c));
-      }
-    }
-    return m.MultiplyLeftMulti(slice, inner);
-  };
-  for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t c = 0; c < cols(); ++c) y->Set(j, c, 0.0);
-  }
-  std::vector<DenseMatrix> partials(n);
-  if (ctx.pool != nullptr && n > 1) {
-    ctx.pool->ParallelFor(
-        n, [&](std::size_t i) { partials[i] = shard_partial(i, MulContext{}); });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) partials[i] = shard_partial(i, ctx);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      for (std::size_t c = 0; c < cols(); ++c) {
-        y->Set(j, c, y->At(j, c) + partials[i].At(j, c));
-      }
-    }
-  }
+  partials.AccumulateInto(x);
 }
 
 void ShardedMatrix::MultiplyRightRangeInto(std::span<const double> x,
@@ -449,29 +380,29 @@ void ShardedMatrix::MultiplyRightRangeInto(std::span<const double> x,
                 "range kernel: output has " << y.size()
                                             << " entries, expected "
                                             << row_end - row_begin);
-  // Only shards overlapping the range are touched (and thus faulted in /
-  // LRU-stamped). A shard fully inside the range writes straight into the
-  // caller's span -- the same call MultiplyRightInto would make, so a
-  // full-range query is bitwise identical to the unranged kernel. A shard
-  // partially covered still computes all its rows (row-range slicing below
-  // the shard grain would need a different kernel) and copies the overlap.
-  for (std::size_t i = 0; i < states_.size(); ++i) {
+  // Scatter: only shards overlapping the range are touched (and thus
+  // faulted in / LRU-stamped), and each owns a disjoint slice of y, so the
+  // gather is the write itself. A shard fully inside the range writes
+  // straight into the caller's span. A shard partially covered still
+  // computes all its rows (row-range slicing below the shard grain would
+  // need a different kernel) and copies the overlap.
+  auto [first, last] = ShardsOverlapping(row_begin, row_end);
+  ForEachShard(first, last, ctx, [&](std::size_t i, const MulContext& inner) {
     const ShardState& shard = *states_[i];
     std::size_t begin = std::max(row_begin, shard.entry.row_begin);
     std::size_t end = std::min(row_end, shard.entry.row_end);
-    if (begin >= end) continue;
     AnyMatrix m = Acquire(shard);
     if (begin == shard.entry.row_begin && end == shard.entry.row_end) {
       m.MultiplyRightInto(
-          x, y.subspan(begin - row_begin, shard.entry.rows()), ctx);
+          x, y.subspan(begin - row_begin, shard.entry.rows()), inner);
     } else {
       std::vector<double> scratch(shard.entry.rows());
-      m.MultiplyRightInto(x, scratch, ctx);
-      for (std::size_t r = begin; r < end; ++r) {
-        y[r - row_begin] = scratch[r - shard.entry.row_begin];
-      }
+      m.MultiplyRightInto(x, scratch, inner);
+      std::ranges::copy(std::span<const double>(scratch).subspan(
+                            begin - shard.entry.row_begin, end - begin),
+                        y.subspan(begin - row_begin).begin());
     }
-  }
+  });
 }
 
 bool ShardedMatrix::RangeAlignedToShards(std::size_t row_begin,
@@ -502,28 +433,21 @@ void ShardedMatrix::MultiplyLeftRangeInto(std::span<const double> y,
                                         << x.size() << " entries, expected "
                                         << cols());
   // The first overlapping shard writes its partial straight into x (the
-  // inner kernel overwrites its whole output), later shards accumulate
-  // through a scratch partial in shard order. A one-shard range therefore
-  // produces exactly the term the full left kernel folds for that shard.
-  bool first = true;
-  std::vector<double> partial;
-  for (std::size_t i = 0; i < states_.size(); ++i) {
+  // inner kernel overwrites its whole output); later shards write partials
+  // that are added in shard order. A one-shard range therefore produces
+  // exactly the term the full left kernel folds for that shard, where a
+  // zero-then-add start would turn a -0.0 partial into +0.0.
+  auto [first, last] = ShardsOverlapping(row_begin, row_end);
+  PartialVectors rest(last - first - 1, cols());
+  // (An init-capture: clang before 16 cannot capture a structured binding.)
+  ForEachShard(first, last, ctx, [&, first = first](std::size_t i,
+                                                    const MulContext& inner) {
     const ShardState& shard = *states_[i];
-    if (shard.entry.row_end <= row_begin || shard.entry.row_begin >= row_end) {
-      continue;
-    }
-    AnyMatrix m = Acquire(shard);
-    auto slice =
-        y.subspan(shard.entry.row_begin - row_begin, shard.entry.rows());
-    if (first) {
-      m.MultiplyLeftInto(slice, x, ctx);
-      first = false;
-    } else {
-      partial.resize(cols());
-      m.MultiplyLeftInto(slice, partial, ctx);
-      for (std::size_t c = 0; c < cols(); ++c) x[c] += partial[c];
-    }
-  }
+    Acquire(shard).MultiplyLeftInto(
+        y.subspan(shard.entry.row_begin - row_begin, shard.entry.rows()),
+        i == first ? x : rest.part(i - first - 1), inner);
+  });
+  rest.AccumulateInto(x);
 }
 
 DenseMatrix ShardedMatrix::ToDense() const {

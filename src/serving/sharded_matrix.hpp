@@ -10,14 +10,16 @@
 //    m.MultiplyRightInto(x, y, {.pool = &pool});      // shard-parallel
 //
 // Kernels scatter row ranges across shards and gather into the caller's
-// span: MultiplyRightInto hands each shard a disjoint sub-span of y (the
+// span: the right kernels hand each shard a disjoint sub-span of y (the
 // gather is free, and pooled/unpooled runs are bitwise identical);
 // MultiplyLeftInto collects one cols-sized partial per shard and sums the
 // partials in shard order, so the reduction is deterministic with and
-// without a pool. When a pool is present, shards run in parallel and each
-// shard kernel runs sequentially inside its task; with no pool (or one
-// shard) the context is forwarded so a lone shard can still use its own
-// internal parallelism.
+// without a pool. All four kernels (full and row-range, both directions)
+// share one fan-out over the shards they touch: when a pool is present and
+// more than one shard is touched, shards run in parallel and each shard
+// kernel runs sequentially inside its task; otherwise the context is
+// forwarded so a lone shard can still use its own internal parallelism.
+// Multi-vector calls use IMatrixKernel's per-vector loop.
 //
 // Residency: shards backed by files load lazily (read on first touch,
 // checksum-verified against the manifest) or eagerly at open, and can be
@@ -43,6 +45,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/any_matrix.hpp"
@@ -162,17 +165,6 @@ class ShardedMatrix final : public IMatrixKernel {
   void MultiplyLeftInto(std::span<const double> y, std::span<double> x,
                         const MulContext& ctx) const override;
 
-  /// Multi-vector kernels: the whole batch scatters once per shard. Right: shard i computes its
-  /// rows x k block straight into the output rows it owns. Left: each
-  /// shard contributes a k x cols partial, summed in shard order, so the
-  /// reduction stays deterministic with and without a pool. Vector j of
-  /// either result is bitwise identical to the sequential single-vector
-  /// kernel on input j.
-  void MultiplyRightMulti(const DenseMatrix& x, DenseMatrix* y,
-                          const MulContext& ctx) const override;
-  void MultiplyLeftMulti(const DenseMatrix& x, DenseMatrix* y,
-                         const MulContext& ctx) const override;
-
   /// Row-range kernels -- the serving path's admission-aware shard touch:
   /// only shards overlapping [row_begin, row_end) are acquired, so a range
   /// query against a residency-limited store faults in exactly the shards
@@ -224,6 +216,10 @@ class ShardedMatrix final : public IMatrixKernel {
   ShardedMatrix() = default;
 
   const ShardState& state(std::size_t index) const;
+  /// Index range [first, last) of the shards overlapping the row range
+  /// [row_begin, row_end).
+  std::pair<std::size_t, std::size_t> ShardsOverlapping(
+      std::size_t row_begin, std::size_t row_end) const;
   /// Loads (if needed), stamps the LRU clock, returns the shard handle.
   AnyMatrix Acquire(const ShardState& shard) const;
   /// Page-granular resident bytes of one shard; caller holds `shard.mu`.

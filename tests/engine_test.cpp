@@ -314,6 +314,31 @@ TEST(MatrixSpecTest, RetiredKeysAreRejectedByName) {
   }
 }
 
+TEST(MatrixSpecTest, ZeroBlockCountIsRejectedByName) {
+  // blocks=0 names no layout: the gcm dense and triplet paths and the
+  // advisor all reject it with a spec error naming the key, instead of
+  // silently building an unblocked matrix or failing an internal check.
+  DenseMatrix dense = TestMatrix();
+  auto expect_named = [](auto build, const char* what) {
+    try {
+      build();
+      FAIL() << what << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("\"blocks\""), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  expect_named([&] { AnyMatrix::Build(dense, "gcm:re_32?blocks=0"); },
+               "gcm dense");
+  expect_named(
+      [&] {
+        AnyMatrix::Build(dense.rows(), dense.cols(), TripletsFromDense(dense),
+                         "gcm:re_32?blocks=0");
+      },
+      "gcm triplets");
+  expect_named([&] { AnyMatrix::Build(dense, "auto?blocks=0"); }, "auto");
+}
+
 TEST(MatrixSpecTest, ListSpecsCoversAllSevenBackends) {
   std::vector<std::string> specs = AnyMatrix::ListSpecs();
   for (const char* expected :

@@ -298,7 +298,8 @@ TEST(RemoteShardedMatrixTest, ScatterGatherBitwiseEqualToLocal) {
   EXPECT_TRUE(BitwiseEqual(right, local.MultiplyRight(x)));
   EXPECT_TRUE(BitwiseEqual(left, local.MultiplyLeft(y)));
 
-  // Multi-vector scatter: every column/row bitwise equal too.
+  // Multi-vector calls (IMatrixKernel's per-vector loop, one scatter per
+  // vector): every column/row bitwise equal too.
   const std::size_t k = 4;
   Rng rng(53);
   DenseMatrix xr(local.cols(), k);
@@ -318,7 +319,7 @@ TEST(RemoteShardedMatrixTest, ScatterGatherBitwiseEqualToLocal) {
   EXPECT_EQ(DenseMatrix::MaxAbsDiff(left_multi, local.MultiplyLeftMulti(xl)),
             0.0);
 
-  // ToDense is one identity-input scatter.
+  // ToDense is the same loop over the identity columns.
   EXPECT_EQ(DenseMatrix::MaxAbsDiff(remote.ToDense(), local.ToDense()), 0.0);
 
   ClusterStats stats = remote.stats();

@@ -1,18 +1,26 @@
 // Serving subsystem suite: ShardManifest (round trip, validation, corrupt
 // sections named), MatrixStore (partition -> reopen -> scatter/gather
 // equals the dense oracle -> evict/reload, zero RePair constructions on
-// reopen, checksum-verified shard files), ShardedMatrix residency control,
-// and the "sharded" spec family (in-memory build, nested rejection, inner
-// spec escaping, single-file snapshot round trip, manifest loading through
-// the engine front door). Runs under the `sharded_serving_smoke` CTest
-// label so CI exercises the store layout on every compiler configuration.
+// reopen, checksum-verified shard files), ShardedMatrix residency control
+// and row-range kernels, and the "sharded" spec family (in-memory build,
+// nested rejection, inner spec escaping, single-file snapshot round trip,
+// manifest loading through the engine front door). Runs under the
+// `sharded_serving_smoke` CTest label so CI exercises the store layout on
+// every compiler configuration.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/any_matrix.hpp"
@@ -50,6 +58,12 @@ const ShardedMatrix& Sharded(const AnyMatrix& m) {
   const ShardedMatrix* sharded = ShardedMatrix::FromKernel(m.kernel());
   EXPECT_NE(sharded, nullptr) << m.FormatTag();
   return *sharded;
+}
+
+bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 ShardManifest SmallManifest() {
@@ -427,6 +441,166 @@ TEST(ShardedSpecTest, StoreConsolidatesIntoASingleFileSnapshot) {
   EXPECT_EQ(DenseMatrix::MaxAbsDiff(restored.ToDense(), dense), 0.0);
   // The consolidated form is self-contained: in-memory shards, no files.
   EXPECT_FALSE(Sharded(restored).EvictShard(0));
+}
+
+// --------------------------------------------------------------------------
+// Row-range kernels (the server's range path and the cluster's worker path)
+// --------------------------------------------------------------------------
+
+/// 60 rows in four uneven shards ([0,16) [16,32) [32,48) [48,60)) over a
+/// blocked inner spec, so a forwarded pool also reaches the inner kernel.
+AnyMatrix RangeTestMatrix() {
+  return AnyMatrix::Build(
+      TestMatrix(), "sharded?inner=gcm:re_iv?blocks=2&rows_per_shard=16");
+}
+
+std::vector<double> RightRange(const ShardedMatrix& m,
+                               const std::vector<double>& x, std::size_t begin,
+                               std::size_t end, const MulContext& ctx) {
+  std::vector<double> y(end - begin);
+  m.MultiplyRightRangeInto(x, y, begin, end, ctx);
+  return y;
+}
+
+std::vector<double> LeftRange(const ShardedMatrix& m,
+                              const std::vector<double>& y, std::size_t begin,
+                              std::size_t end, const MulContext& ctx) {
+  std::vector<double> x(m.cols());
+  m.MultiplyLeftRangeInto(
+      std::span<const double>(y).subspan(begin, end - begin), x, begin, end,
+      ctx);
+  return x;
+}
+
+TEST(ShardedRangeKernelTest, PooledRangesEqualSequentialBitwise) {
+  AnyMatrix m = RangeTestMatrix();
+  const ShardedMatrix& sharded = Sharded(m);
+  ASSERT_EQ(sharded.shard_count(), 4u);
+  ThreadPool pool(3);
+  std::vector<double> x = RandomVector(m.cols(), 21);
+  std::vector<double> y = RandomVector(m.rows(), 22);
+  // One-shard, shard-cutting and multi-shard right ranges.
+  for (auto [begin, end] :
+       {std::pair<std::size_t, std::size_t>{0, 60}, {0, 16}, {20, 21},
+        {5, 37}, {15, 49}, {47, 60}}) {
+    EXPECT_TRUE(BitwiseEqual(RightRange(sharded, x, begin, end, {}),
+                             RightRange(sharded, x, begin, end, {&pool})))
+        << "right [" << begin << ", " << end << ")";
+  }
+  // Left ranges must be shard-aligned.
+  for (auto [begin, end] :
+       {std::pair<std::size_t, std::size_t>{0, 60}, {0, 16}, {16, 48},
+        {32, 60}, {48, 60}}) {
+    EXPECT_TRUE(BitwiseEqual(LeftRange(sharded, y, begin, end, {}),
+                             LeftRange(sharded, y, begin, end, {&pool})))
+        << "left [" << begin << ", " << end << ")";
+  }
+}
+
+TEST(ShardedRangeKernelTest, FullRangeEqualsTheUnrangedKernel) {
+  AnyMatrix m = RangeTestMatrix();
+  const ShardedMatrix& sharded = Sharded(m);
+  ThreadPool pool(3);
+  std::vector<double> x = RandomVector(m.cols(), 23);
+  std::vector<double> y = RandomVector(m.rows(), 24);
+  for (const MulContext& ctx : {MulContext{}, MulContext{&pool}}) {
+    EXPECT_TRUE(BitwiseEqual(RightRange(sharded, x, 0, m.rows(), ctx),
+                             m.MultiplyRight(x, ctx)));
+    // The full left range starts its fold from the first shard's partial
+    // and the unranged kernel from zero, so the two may differ in the sign
+    // of a zero; == compares values, which must match exactly.
+    EXPECT_EQ(LeftRange(sharded, y, 0, m.rows(), ctx), m.MultiplyLeft(y, ctx));
+  }
+}
+
+TEST(ShardedRangeKernelTest, RangesCuttingThroughShardsSliceTheFullProduct) {
+  AnyMatrix m = RangeTestMatrix();
+  const ShardedMatrix& sharded = Sharded(m);
+  ThreadPool pool(3);
+  std::vector<double> x = RandomVector(m.cols(), 25);
+  std::vector<double> full = m.MultiplyRight(x);
+  for (auto [begin, end] :
+       {std::pair<std::size_t, std::size_t>{1, 2}, {10, 20}, {5, 37},
+        {17, 59}, {31, 33}}) {
+    std::vector<double> want(full.begin() + static_cast<std::ptrdiff_t>(begin),
+                             full.begin() + static_cast<std::ptrdiff_t>(end));
+    EXPECT_TRUE(BitwiseEqual(RightRange(sharded, x, begin, end, {}), want))
+        << "[" << begin << ", " << end << ")";
+    EXPECT_TRUE(
+        BitwiseEqual(RightRange(sharded, x, begin, end, {&pool}), want))
+        << "[" << begin << ", " << end << ") pooled";
+  }
+  // A left range must cover whole shards.
+  std::vector<double> y = RandomVector(m.rows(), 26);
+  EXPECT_FALSE(sharded.RangeAlignedToShards(5, 37));
+  EXPECT_THROW(LeftRange(sharded, y, 5, 37, {}), Error);
+}
+
+TEST(ShardedRangeKernelTest, OneShardLeftRangeEqualsThatShardsKernel) {
+  // What keeps a cluster-gathered left multiply equal to the local one:
+  // a worker's one-shard partial is exactly the shard's own left product.
+  AnyMatrix m = RangeTestMatrix();
+  const ShardedMatrix& sharded = Sharded(m);
+  ThreadPool pool(3);
+  std::vector<double> y = RandomVector(m.rows(), 27);
+  for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
+    const ShardManifestEntry& shard = sharded.manifest().shards[i];
+    std::vector<double> slice(
+        y.begin() + static_cast<std::ptrdiff_t>(shard.row_begin),
+        y.begin() + static_cast<std::ptrdiff_t>(shard.row_end));
+    std::vector<double> want = sharded.LoadShard(i).MultiplyLeft(slice);
+    for (const MulContext& ctx : {MulContext{}, MulContext{&pool}}) {
+      EXPECT_TRUE(BitwiseEqual(
+          LeftRange(sharded, y, shard.row_begin, shard.row_end, ctx), want))
+          << "shard " << i;
+    }
+  }
+}
+
+/// A shard whose products are all -0.0: the one input that tells a fold
+/// started from the first shard's partial from one started at zero.
+class NegativeZeroKernel final : public IMatrixKernel {
+ public:
+  NegativeZeroKernel(std::size_t rows, std::size_t cols)
+      : rows_(rows), cols_(cols) {}
+  std::size_t rows() const override { return rows_; }
+  std::size_t cols() const override { return cols_; }
+  u64 CompressedBytes() const override { return 0; }
+  std::string FormatTag() const override { return "negative_zero"; }
+  void MultiplyRightInto(std::span<const double>, std::span<double> y,
+                         const MulContext&) const override {
+    std::fill(y.begin(), y.end(), -0.0);
+  }
+  void MultiplyLeftInto(std::span<const double>, std::span<double> x,
+                        const MulContext&) const override {
+    std::fill(x.begin(), x.end(), -0.0);
+  }
+  DenseMatrix ToDense() const override { return DenseMatrix(rows_, cols_); }
+
+ private:
+  std::size_t rows_;
+  std::size_t cols_;
+};
+
+TEST(ShardedRangeKernelTest, LeftRangeKeepsTheSignOfAZeroPartial) {
+  std::vector<AnyMatrix> shards;
+  for (int i = 0; i < 3; ++i) {
+    shards.emplace_back(std::make_shared<NegativeZeroKernel>(4, 2));
+  }
+  AnyMatrix m(ShardedMatrix::FromShards(2, std::move(shards)));
+  const ShardedMatrix& sharded = Sharded(m);
+  ThreadPool pool(3);
+  std::vector<double> y(m.rows(), 1.0);
+  for (const MulContext& ctx : {MulContext{}, MulContext{&pool}}) {
+    for (auto [begin, end] : {std::pair<std::size_t, std::size_t>{0, 4},
+                              {4, 12}, {0, 12}}) {
+      for (double v : LeftRange(sharded, y, begin, end, ctx)) {
+        EXPECT_TRUE(std::signbit(v)) << "[" << begin << ", " << end << ")";
+      }
+    }
+    // The unranged kernel folds from zero, as the cluster coordinator does.
+    for (double v : m.MultiplyLeft(y, ctx)) EXPECT_FALSE(std::signbit(v));
+  }
 }
 
 TEST(ShardedMatrixTest, FromShardsValidatesShape) {

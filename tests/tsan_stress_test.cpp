@@ -5,6 +5,7 @@
 //
 //   * multiplies racing shard eviction (Acquire hands out shared handles,
 //     so an evicted shard must never invalidate an in-flight kernel),
+//     including pooled row-range multiplies that touch part of the store,
 //   * many threads first-touching a lazily opened store at once (the
 //     double-checked per-shard load under ShardState::mu),
 //   * nested pooled builds hammering ParallelFor's shared claim counter.
@@ -20,6 +21,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -165,6 +167,61 @@ TEST(TsanStressTest, PooledMultiplyRacesEviction) {
     std::vector<double> y(dense.rows());
     m.MultiplyRightInto(x, y, MulContext{&pool});
     if (y != want) mismatches.fetch_add(1);
+  }
+  stop.store(true);
+  evictor.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(TsanStressTest, PooledRangeMultiplyRacesEviction) {
+  // Pooled row-range kernels fan the touched shards out on the pool (the
+  // server's range path with kernel threads), so eviction interleaves with
+  // workers faulting in only part of the store. Ranges cut through shards,
+  // stay inside one shard (the sequential path) or cover every row.
+  DenseMatrix dense = StressMatrix();
+  std::string dir = ScratchPath("pooled_range_vs_evict");
+  MatrixStore::Partition(dense, "gcm:re_iv", {.shards = 5}, dir);
+  AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
+  const ShardedMatrix& sharded = Sharded(m);
+  ThreadPool pool(3);
+
+  struct Range {
+    std::size_t begin, end;
+    std::vector<double> want;
+  };
+  std::vector<Range> ranges = {{7, 53, {}}, {25, 35, {}}, {39, 81, {}},
+                               {0, dense.rows(), {}}};
+  std::vector<double> x = RandomVector(dense.cols(), 15);
+  // Sequential baselines taken before any eviction; every pooled iteration
+  // below must reproduce them bit for bit.
+  for (Range& r : ranges) {
+    r.want.resize(r.end - r.begin);
+    sharded.MultiplyRightRangeInto(x, r.want, r.begin, r.end);
+  }
+  std::vector<double> full = dense.MultiplyRight(x);
+  ASSERT_TRUE(NearlyEqual(ranges.back().want, full));
+  // About one shard's footprint (the shards touched above are resident).
+  const u64 budget = sharded.ShardResidencyInfo(0).resident_bytes;
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> mismatches{0};
+  std::thread evictor([&] {
+    std::size_t i = 0;
+    while (!stop.load()) {
+      sharded.EvictShard(i % sharded.shard_count());
+      sharded.EvictToResidentBytes(budget);
+      ++i;
+    }
+  });
+  for (int it = 0; it < 10; ++it) {
+    for (const Range& r : ranges) {
+      std::vector<double> y(r.end - r.begin);
+      sharded.MultiplyRightRangeInto(x, y, r.begin, r.end, {&pool});
+      if (std::memcmp(y.data(), r.want.data(), y.size() * sizeof(double)) !=
+          0) {
+        mismatches.fetch_add(1);
+      }
+    }
   }
   stop.store(true);
   evictor.join();
