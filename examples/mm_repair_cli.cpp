@@ -50,7 +50,7 @@ int Usage() {
       "store manifest; --save-snapshot with --shards > 1 writes a sharded\n"
       "store directory instead of a single snapshot file;\n"
       "`info --resave` rewrites a snapshot file or store in place in the\n"
-      "current container version (staged-temp + atomic rename)\n",
+      "current container version (a store commits by one manifest rename)\n",
       stderr);
   return 2;
 }
@@ -102,8 +102,9 @@ void MaybeSaveSnapshot(const AnyMatrix& matrix, const CliParser& cli) {
 
 /// `info --resave`: rewrites `input` in place in the current container
 /// version. A store (directory, or a manifest file referencing sibling
-/// shards) migrates every shard plus the manifest through the
-/// failure-atomic MatrixStore pipeline; a single snapshot file is
+/// shards) gets its shards rewritten as the next generation's files and
+/// commits by replacing the manifest (MatrixStore::Resave), so a failure
+/// before that leaves the old store in service; a single snapshot file is
 /// replaced by AnyMatrix::Save (staged temp + rename), so a crash leaves
 /// the old file intact. Payloads are adopted as-is -- no RePair / rANS
 /// encoding re-runs.

@@ -618,6 +618,13 @@ GcMatrix GcMatrix::Deserialize(ByteReader* reader, SharedDict dict) {
   m.alphabet_size_ = static_cast<u32>(reader->GetVarint());
   m.c_length_ = reader->GetVarint();
   m.rule_count_ = reader->GetVarint();
+  // Every symbol (terminal or rule) must fit a u32; checked before
+  // anything below multiplies rule_count_ or sums it into a u32.
+  GCM_CHECK_MSG(m.rule_count_ <= (u64{1} << 32) - m.alphabet_size_,
+                "corrupt GcMatrix: " << m.rule_count_ << " rules over an "
+                                     << m.alphabet_size_
+                                     << "-symbol alphabet exceed the u32 "
+                                        "symbol space");
   m.dict_ = std::move(dict);
   u64 expected_alphabet = 1 + static_cast<u64>(m.dict_->size()) * m.cols_;
   GCM_CHECK_MSG(m.alphabet_size_ == expected_alphabet,

@@ -1,6 +1,7 @@
 #include "encoding/int_vector.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace gcm {
 
@@ -29,6 +30,9 @@ std::vector<u64> IntVector::ToVector() const {
 void IntVector::RestoreFrom(std::size_t size, u32 width,
                             ArrayRef<u64> words) {
   GCM_CHECK_MSG(width >= 1 && width <= 64, "invalid IntVector width");
+  GCM_CHECK_MSG(size <= std::numeric_limits<u64>::max() / width,
+                "IntVector of " << size << " " << width
+                                << "-bit entries overflows its bit count");
   GCM_CHECK_MSG(words.size() == CeilDiv(static_cast<u64>(size) * width, 64),
                 "IntVector word payload does not match size/width");
   width_ = width;

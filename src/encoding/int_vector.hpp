@@ -46,11 +46,6 @@ class IntVector {
     words_ = std::vector<u64>(CeilDiv(static_cast<u64>(size) * width_, 64), 0);
   }
 
-  void Clear() {
-    size_ = 0;
-    words_ = ArrayRef<u64>();
-  }
-
   /// Reads entry i. Bounds-checked in debug/sanitizer builds only (hot
   /// path): an out-of-range index in Release is UB, so the DCHECK tier is
   /// exactly where this contract belongs.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "encoding/byte_stream.hpp"
 
@@ -10,6 +11,10 @@ namespace gcm {
 DenseMatrix::DenseMatrix(std::size_t rows, std::size_t cols,
                          ArrayRef<double> data)
     : rows_(rows), cols_(cols), data_(std::move(data)) {
+  GCM_CHECK_MSG(cols == 0 || rows <= std::numeric_limits<std::size_t>::max() /
+                                         cols,
+                "dense payload shape " << rows << "x" << cols
+                                       << " overflows its entry count");
   GCM_CHECK_MSG(data_.size() == rows * cols,
                 "dense payload has " << data_.size() << " entries, expected "
                                      << rows * cols);

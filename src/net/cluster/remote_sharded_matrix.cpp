@@ -62,11 +62,6 @@ ClusterStats RemoteShardedMatrix::stats() const {
   return stats_;
 }
 
-void RemoteShardedMatrix::DisconnectAll() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  channels_.clear();
-}
-
 // ---------------------------------------------------------------------------
 // Channel management
 // ---------------------------------------------------------------------------

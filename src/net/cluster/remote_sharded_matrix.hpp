@@ -99,10 +99,6 @@ class RemoteShardedMatrix final : public IMatrixKernel {
   const ClusterManifest& manifest() const { return manifest_; }
   ClusterStats stats() const;
 
-  /// Drops every open channel; the next multiply reconnects. A test seam
-  /// (kill-worker scenarios) and a recovery lever.
-  void DisconnectAll() const;
-
  private:
   /// One pipelined connection to a worker, hello-validated. The epoch
   /// lets in-flight jobs detect that their channel was dropped and

@@ -239,8 +239,9 @@ struct HelloReply {
   static HelloReply DecodeFrom(ByteReader* in);
 };
 
-/// HealthReply body: a cheap liveness + load probe (the coordinator uses it
-/// to prefer idle replicas without paying for a full InfoReply).
+/// HealthReply body: a cheap liveness + load probe that every server
+/// answers (Client::Health). The coordinator does not send it: it tries a
+/// range's replicas in manifest order and fails over on error.
 struct HealthReply {
   u8 accepting = 1;  ///< 0 once the server has begun shutting down
   u64 queue_depth = 0;

@@ -5,6 +5,7 @@
 #include <functional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "encoding/snapshot.hpp"
 #include "matrix/dense_matrix.hpp"
@@ -16,121 +17,92 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Staging / backup suffixes of the two-phase store write. A failed
-/// Partition leaves at worst *.tmp / *.old litter that Open never reads
-/// (and the normal paths clean up even that).
-constexpr const char* kStagingSuffix = ".tmp";
-constexpr const char* kBackupSuffix = ".old";
+/// The tiling Partition cuts: `per_shard` rows per shard, the last one
+/// possibly shorter. Only the dimensions and row ranges are set.
+ShardManifest UniformLayout(std::size_t rows, std::size_t cols,
+                            std::size_t per_shard) {
+  ShardManifest layout{.rows = rows, .cols = cols};
+  for (std::size_t begin = 0; begin < rows; begin += per_shard) {
+    layout.shards.push_back(
+        {.row_begin = begin, .row_end = std::min(rows, begin + per_shard)});
+  }
+  return layout;
+}
 
-/// Shared producer pipeline: `build_shard(begin, end)` returns the built
-/// shard for rows [begin, end).
+/// Every shard file in `dir` with its generation (ShardFileGeneration);
+/// files with other names are never touched. A listing error is reported
+/// in `ec`.
+std::vector<std::pair<fs::path, u64>> ListShardFiles(const std::string& dir,
+                                                     std::error_code& ec) {
+  std::vector<std::pair<fs::path, u64>> files;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    if (auto generation =
+            ShardFileGeneration(it->path().filename().string())) {
+      files.emplace_back(it->path(), *generation);
+    }
+  }
+  return files;
+}
+
+/// Shared producer pipeline: `manifest` arrives holding the dimensions
+/// and each shard's row range, and shard i is built by `build_shard(i)`.
 ///
-/// Phase 1 builds, serializes and *stages* each shard (a `.tmp` sibling of
-/// its final name) -- concurrently on the BuildContext pool, each task
-/// holding only its own shard in memory and dropping it once written. The
-/// manifest entries land in per-shard slots, so the manifest and every
-/// shard file are byte-identical to the sequential layout regardless of
-/// the pool.
+/// Shard files are immutable and named by store generation: this call
+/// writes generation g = 1 + the highest generation named in `dir` (so a
+/// fresh directory always gets the same names), each shard once under its
+/// final name, concurrently on the BuildContext pool. Each task holds only
+/// its own shard in memory, and the manifest entries land in per-shard
+/// slots, so every file is byte-identical to the sequential output.
 ///
-/// Phase 2 flips the staged files live in manifest order, manifest last.
-/// A file being overwritten is first set aside under a `.old` backup
-/// name; if any rename fails, the flipped files are removed and the
-/// backups restored -- so a failed Partition (an exception in either
-/// phase) leaves a pre-existing store byte-for-byte intact and never a
-/// directory Open would half-accept. A hard process kill is weaker: dying
-/// mid-flip of a REpartition can leave the old manifest next to
-/// already-replaced shard files (Open then fails their checksums, naming
-/// the shards) with the originals still recoverable from the `.old`
-/// backups; making that window atomic needs manifest-versioned shard
-/// file names (see ROADMAP).
+/// Replacing the manifest is the only commit: until it lands, Open reads
+/// the old manifest, which names only older generations. A failure before
+/// it removes this generation's files (and `dir` if this call created
+/// it), leaving an existing store as it was. After it, every shard file
+/// of another generation is collected: the old store, a killed run's
+/// uncommitted files, and the surplus shards of a repartition into fewer
+/// shards.
 ShardManifest WriteStore(
-    std::size_t rows, std::size_t cols, std::size_t per_shard,
-    const std::string& dir, const BuildContext& ctx,
-    const std::function<AnyMatrix(std::size_t, std::size_t)>& build_shard) {
-  std::size_t shard_count = (rows + per_shard - 1) / per_shard;
+    ShardManifest manifest, const std::string& dir, const BuildContext& ctx,
+    const std::function<AnyMatrix(std::size_t)>& build_shard) {
   std::error_code ec;
   bool created_dir = fs::create_directories(dir, ec);
   GCM_CHECK_MSG(!ec, "cannot create store directory " << dir << ": "
                                                       << ec.message());
-
-  ShardManifest manifest;
-  manifest.rows = rows;
-  manifest.cols = cols;
-  manifest.shards.resize(shard_count);
-  std::vector<std::string> files;  // final names, manifest last
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    files.push_back(ShardFileName(i));
+  u64 generation = 0;
+  for (const auto& file : ListShardFiles(dir, ec)) {
+    generation = std::max(generation, file.second);
   }
-  files.emplace_back(kShardManifestFileName);
-  auto staging_path = [&](const std::string& file) {
-    return fs::path(dir) / (file + kStagingSuffix);
-  };
+  GCM_CHECK_MSG(!ec, "cannot list store directory " << dir << ": "
+                                                    << ec.message());
+  ++generation;
 
   try {
-    // Phase 1: build + stage, shard-parallel. Slots are disjoint and
-    // WriteFileBytes targets one distinct staging file per task.
-    MaybeParallelFor(ctx.pool, shard_count, [&](std::size_t i) {
-      std::size_t begin = i * per_shard;
-      AnyMatrix shard = build_shard(begin, std::min(rows, begin + per_shard));
+    MaybeParallelFor(ctx.pool, manifest.shards.size(), [&](std::size_t i) {
+      AnyMatrix shard = build_shard(i);
       std::vector<u8> bytes = shard.SaveSnapshotBytes();
       ShardManifestEntry& entry = manifest.shards[i];
-      entry.row_begin = begin;
-      entry.row_end = std::min(rows, begin + per_shard);
-      entry.file = ShardFileName(i);
+      entry.file = ShardFileName(generation, i);
       entry.spec = shard.FormatTag();
       entry.crc32 = Crc32(bytes.data(), bytes.size());
       entry.snapshot_bytes = bytes.size();
       entry.compressed_bytes = shard.CompressedBytes();
-      WriteFileBytes(staging_path(entry.file).string(), bytes);
+      WriteFileBytes((fs::path(dir) / entry.file).string(), bytes);
     });
-    manifest.Save(staging_path(kShardManifestFileName).string());
-
-    // Phase 2: flip staged files live, displacing overwritten originals
-    // to backups so a mid-flip failure can roll everything back.
-    std::vector<std::pair<fs::path, fs::path>> displaced;  // final, backup
-    std::vector<fs::path> flipped;
-    try {
-      for (const std::string& file : files) {
-        fs::path final_path = fs::path(dir) / file;
-        std::error_code probe;
-        if (fs::exists(final_path, probe)) {
-          fs::path backup = fs::path(dir) / (file + kBackupSuffix);
-          fs::rename(final_path, backup);
-          displaced.emplace_back(final_path, backup);
-        }
-        fs::rename(staging_path(file), final_path);
-        flipped.push_back(final_path);
-      }
-    } catch (...) {
-      std::error_code ignore;
-      for (const fs::path& path : flipped) fs::remove(path, ignore);
-      for (const auto& [final_path, backup] : displaced) {
-        fs::rename(backup, final_path, ignore);
-      }
-      throw;  // the outer catch clears remaining staging litter
-    }
-    std::error_code ignore;
-    for (const auto& [final_path, backup] : displaced) {
-      fs::remove(backup, ignore);
-    }
-    // Repartitioning into fewer shards must not strand the old store's
-    // surplus shard files next to the new manifest (Open ignores them,
-    // but they are stale snapshots of the old matrix). Our stores number
-    // shards contiguously, so sweep from shard_count until a gap.
-    for (std::size_t i = shard_count; ; ++i) {
-      fs::path stale = fs::path(dir) / ShardFileName(i);
-      if (!fs::remove(stale, ignore)) break;
-    }
+    manifest.Save((fs::path(dir) / kShardManifestFileName).string());
   } catch (...) {
     std::error_code ignore;
-    for (const std::string& file : files) {
-      fs::remove(staging_path(file), ignore);
+    for (std::size_t i = 0; i < manifest.shards.size(); ++i) {
+      fs::remove(fs::path(dir) / ShardFileName(generation, i), ignore);
     }
-    // A directory this call created and never populated should not
-    // outlive the failure (remove() refuses non-empty directories, so a
-    // pre-existing or partially-foreign dir is never touched).
+    // remove() refuses a non-empty directory, so only a directory this
+    // call created and left empty goes.
     if (created_dir) fs::remove(dir, ignore);
     throw;
+  }
+  std::error_code ignore;
+  for (const auto& [path, file_generation] : ListShardFiles(dir, ignore)) {
+    if (file_generation != generation) fs::remove(path, ignore);
   }
   return manifest;
 }
@@ -153,13 +125,14 @@ ShardManifest MatrixStore::Partition(const DenseMatrix& dense,
                                      const std::string& dir,
                                      const BuildContext& ctx) {
   MatrixSpec inner = ParseInnerSpec(inner_spec);
-  std::size_t per_shard =
-      policy.ResolveRowsPerShard(dense.rows(), dense.cols());
-  return WriteStore(dense.rows(), dense.cols(), per_shard, dir, ctx,
-                    [&](std::size_t begin, std::size_t end) {
-                      return AnyMatrix::Build(dense.RowSlice(begin, end),
-                                              inner, ctx);
-                    });
+  ShardManifest layout = UniformLayout(
+      dense.rows(), dense.cols(),
+      policy.ResolveRowsPerShard(dense.rows(), dense.cols()));
+  return WriteStore(layout, dir, ctx, [&](std::size_t i) {
+    const ShardManifestEntry& shard = layout.shards[i];
+    return AnyMatrix::Build(dense.RowSlice(shard.row_begin, shard.row_end),
+                            inner, ctx);
+  });
 }
 
 ShardManifest MatrixStore::Partition(std::size_t rows, std::size_t cols,
@@ -172,13 +145,11 @@ ShardManifest MatrixStore::Partition(std::size_t rows, std::size_t cols,
   std::size_t per_shard = policy.ResolveRowsPerShard(rows, cols);
   std::vector<std::vector<Triplet>> buckets =
       BucketTripletsByShard(rows, per_shard, std::move(entries));
-  return WriteStore(rows, cols, per_shard, dir, ctx,
-                    [&](std::size_t begin, std::size_t end) {
-                      return AnyMatrix::Build(end - begin, cols,
-                                              std::move(buckets[begin /
-                                                                per_shard]),
-                                              inner, ctx);
-                    });
+  ShardManifest layout = UniformLayout(rows, cols, per_shard);
+  return WriteStore(layout, dir, ctx, [&](std::size_t i) {
+    return AnyMatrix::Build(layout.shards[i].rows(), cols,
+                            std::move(buckets[i]), inner, ctx);
+  });
 }
 
 std::string MatrixStore::ManifestPath(const std::string& dir_or_manifest) {
@@ -208,31 +179,12 @@ ShardManifest MatrixStore::Resave(const std::string& dir_or_manifest) {
   std::string manifest_path = ManifestPath(dir_or_manifest);
   ShardManifest old = ShardManifest::Load(manifest_path);
   std::string dir = fs::path(manifest_path).parent_path().string();
-  GCM_CHECK_MSG(!old.shards.empty(), "store manifest " << manifest_path
-                                                       << " lists no shards");
-  // WriteStore re-derives the shard tiling from a uniform grain, so the
-  // migrated layout matches the original only when every shard but the
-  // last covers the same number of rows -- which is how Partition always
-  // cuts. A hand-edited ragged store must be repartitioned instead.
-  std::size_t per_shard = old.shards.front().rows();
-  for (std::size_t i = 0; i + 1 < old.shards.size(); ++i) {
-    GCM_CHECK_MSG(old.shards[i].rows() == per_shard,
-                  "store " << dir << " has a non-uniform shard grain (shard "
-                           << i << " covers " << old.shards[i].rows()
-                           << " rows, shard 0 covers " << per_shard
-                           << "); repartition it instead of --resave");
-  }
   // Each "build" is just a load of the existing shard file: the snapshot
   // payload is adopted as-is and re-emitted in the current container
-  // version, and the PR 5 two-phase flip keeps the migration atomic.
-  return WriteStore(old.rows, old.cols, per_shard, dir, {},
-                    [&](std::size_t begin, std::size_t end) {
-                      (void)end;
-                      const ShardManifestEntry& entry =
-                          old.shards[begin / per_shard];
-                      return AnyMatrix::Load(
-                          (fs::path(dir) / entry.file).string());
-                    });
+  // version under the next generation's names, keeping the old tiling.
+  return WriteStore(old, dir, {}, [&](std::size_t i) {
+    return AnyMatrix::Load((fs::path(dir) / old.shards[i].file).string());
+  });
 }
 
 AnyMatrix MatrixStore::Open(const std::string& dir_or_manifest,

@@ -6,7 +6,15 @@
 //
 //    MatrixStore::Partition(dense, "gcm:re_ans",
 //                           {.rows_per_shard = 100000}, "store/");
-//    store/manifest.gcsnap, store/shard_00000.gcsnap, ...
+//    store/manifest.gcsnap, store/shard_g1_00000.gcsnap, ...
+//
+// Shard files are never rewritten: each Partition or Resave writes the
+// next generation's files (shard_g<gen>_<i>), and replacing the manifest
+// is its single commit point. Open reads whichever manifest is in place,
+// so it sees the old store or the new one, never a mix; files the
+// committed manifest does not name are deleted after the commit. (A
+// handle opened before a commit keeps the shards it has loaded; one it
+// has not loaded yet is gone, and touching it fails naming the file.)
 //
 // Consumer side -- Open reads only the manifest and returns the store as
 // an engine matrix (a ShardedMatrix behind AnyMatrix), so startup cost is
@@ -44,13 +52,12 @@ class MatrixStore {
   /// (any non-sharded engine spec) and writes shard snapshots plus the
   /// manifest into `dir` (created if absent). Returns the manifest.
   ///
-  /// A BuildContext pool builds the shards concurrently; files are then
-  /// persisted in manifest order, so shard files and the manifest are
-  /// byte-identical to the sequential output. The write is atomic at the
-  /// directory level: every file lands under a temporary name and is
-  /// renamed only after all of them (manifest last) are complete, so a
-  /// failed Partition never leaves a directory Open would half-accept --
-  /// an existing store being overwritten stays intact on failure.
+  /// A BuildContext pool builds and writes the shards concurrently; shard
+  /// files and the manifest are byte-identical to the sequential output.
+  /// Shards land under the next generation's names and the manifest
+  /// replace commits them, so a failed Partition never leaves a directory
+  /// Open would half-accept: it removes its own files, and an existing
+  /// store being overwritten stays as it was.
   static ShardManifest Partition(const DenseMatrix& dense,
                                  const std::string& inner_spec,
                                  const ShardingPolicy& policy,
@@ -75,12 +82,12 @@ class MatrixStore {
 
   /// Rewrites every file of an existing store in the current container
   /// version (`mm_repair_cli --resave`): each shard snapshot is loaded
-  /// (any supported version) and re-emitted, and a fresh manifest with the
-  /// new checksums lands last -- all through the same staged-temp + rename
+  /// (any supported version) and re-emitted as the next generation's file,
+  /// and a fresh manifest with the new checksums commits them -- the same
   /// pipeline as Partition, so a failure mid-migration leaves the original
   /// store byte-for-byte intact. No construction pipeline runs (grammars /
-  /// rANS payloads are adopted as-is); file names are normalized to the
-  /// standard shard_<i> layout. Returns the refreshed manifest.
+  /// rANS payloads are adopted as-is), and the row ranges are kept as the
+  /// manifest records them, even or not. Returns the refreshed manifest.
   static ShardManifest Resave(const std::string& dir_or_manifest);
 
   /// Reads and validates the manifest alone (no shard file is touched).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <regex>
 
 #include "core/any_matrix.hpp"
 #include "encoding/byte_stream.hpp"
@@ -16,10 +17,19 @@ constexpr u64 kManifestPayloadVersion = 1;
 
 }  // namespace
 
-std::string ShardFileName(std::size_t index) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "shard_%05zu.gcsnap", index);
+std::string ShardFileName(u64 generation, std::size_t index) {
+  char name[64];
+  std::snprintf(name, sizeof(name), "shard_g%llu_%05zu.gcsnap",
+                static_cast<unsigned long long>(generation), index);
   return name;
+}
+
+std::optional<u64> ShardFileGeneration(const std::string& name) {
+  static const std::regex kShardName(
+      R"(shard_(?:g([0-9]{1,18})_)?[0-9]+\.gcsnap)");
+  std::smatch match;
+  if (!std::regex_match(name, match, kShardName)) return std::nullopt;
+  return match[1].matched ? std::stoull(match[1].str()) : 0;
 }
 
 std::string ShardSectionName(std::size_t index) {

@@ -4,12 +4,16 @@
 // A sharded store on disk is
 //
 //   store/
-//     manifest.gcsnap      <- this file (a snapshot container, spec
-//                             "sharded?inner=...&shards=N", sections
-//                             "meta" + "manifest")
-//     shard_00000.gcsnap   <- ordinary AnyMatrix snapshots, one per
-//     shard_00001.gcsnap      contiguous row range
-//     ...
+//     manifest.gcsnap        <- this file (a snapshot container, spec
+//                               "sharded?inner=...&shards=N", sections
+//                               "meta" + "manifest")
+//     shard_g1_00000.gcsnap  <- ordinary AnyMatrix snapshots, one per
+//     shard_g1_00001.gcsnap     contiguous row range, named by the store
+//     ...                       generation that wrote them
+//
+// Shard files are immutable: each write of a store (MatrixStore) puts a
+// new generation's shards beside the old ones and then replaces the
+// manifest, so the manifest alone decides which files are the store.
 //
 // The manifest records, per shard: the row range it covers, the snapshot
 // file name (relative to the manifest's directory), the shard's engine
@@ -26,6 +30,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,10 +48,19 @@ inline constexpr const char* kShardManifestFileName = "manifest.gcsnap";
 /// Snapshot section names used by the sharded formats.
 inline constexpr const char* kShardManifestSection = "manifest";
 
-/// Name of shard file `index` inside a store directory
-/// ("shard_00000.gcsnap"), and of the embedded section in the single-file
-/// form ("shard_0").
-std::string ShardFileName(std::size_t index);
+/// Name of shard file `index` of store generation `generation` inside a
+/// store directory ("shard_g1_00000.gcsnap"; stores written before
+/// generations existed use "shard_00000.gcsnap", read as generation 0).
+std::string ShardFileName(u64 generation, std::size_t index);
+
+/// The generation of a shard file name in a store directory: g for
+/// "shard_g<g>_<i>.gcsnap" (g of at most 18 digits, so every generation
+/// and its successor fit a u64), 0 for the legacy "shard_<i>.gcsnap", and
+/// nothing for any other name.
+std::optional<u64> ShardFileGeneration(const std::string& name);
+
+/// Name of shard `index`'s embedded section in the single-file form
+/// ("shard_0").
 std::string ShardSectionName(std::size_t index);
 
 /// The sharded spec grammar nests a full inner spec inside one ?key=value

@@ -161,30 +161,24 @@ AnyMatrix ShardedMatrix::Acquire(const ShardState& shard) const {
   if (!shard.resident.valid()) {
     std::string path =
         (std::filesystem::path(dir_) / shard.entry.file).string();
-    // Map the file when the platform allows it: the manifest CRC gate
-    // walks the mapping once (a sequential fault-in the OS can discard
-    // again), the deserializer borrows its payload arrays out of it, and
-    // only the pages the kernels touch stay resident afterwards. The
-    // heap-read fallback keeps the exact pre-mmap behaviour.
-    std::shared_ptr<MappedFile> mapping = MappedFile::TryMap(path);
-    std::vector<u8> heap_copy;
-    std::span<const u8> bytes;
-    if (mapping != nullptr) {
-      bytes = mapping->bytes();
-    } else {
-      heap_copy = ReadFileBytes(path);
-      bytes = heap_copy;
-    }
-    CheckShardBytes(bytes, shard.entry, "file " + path);
-    AnyMatrix loaded;
-    try {
-      loaded = mapping != nullptr
-                   ? AnyMatrix::LoadSnapshot(
-                         SnapshotReader::FromSpan(bytes, mapping))
-                   : AnyMatrix::LoadSnapshotBytes(std::move(heap_copy));
-    } catch (const Error& e) {
-      throw Error("shard file " + path + ": " + e.what());
-    }
+    // FromFile maps the file when the platform allows it (else reads it
+    // onto the heap): the manifest CRC gate walks the mapping once (a
+    // sequential fault-in the OS can discard again), the deserializer
+    // borrows its payload arrays out of it, and only the pages the
+    // kernels touch stay resident afterwards.
+    auto named = [&path](auto&& step) {
+      try {
+        return step();
+      } catch (const Error& e) {
+        throw Error("shard file " + path + ": " + e.what());
+      }
+    };
+    SnapshotReader reader =
+        named([&] { return SnapshotReader::FromFile(path); });
+    CheckShardBytes(reader.bytes(), shard.entry, "file " + path);
+    std::shared_ptr<MappedFile> mapping = reader.mapped_file();
+    AnyMatrix loaded =
+        named([&] { return AnyMatrix::LoadSnapshot(std::move(reader)); });
     CheckLoadedShard(loaded, shard.entry, cols(), "file " + path);
     shard.resident = std::move(loaded);
     shard.mapping = std::move(mapping);

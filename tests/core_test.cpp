@@ -4,12 +4,14 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/any_matrix.hpp"
 #include "core/blocked_matrix.hpp"
 #include "core/gc_matrix.hpp"
 #include "core/power_iteration.hpp"
+#include "encoding/int_vector.hpp"
 #include "matrix/datasets.hpp"
 #include "util/memory_tracker.hpp"
 #include "util/rng.hpp"
@@ -213,6 +215,48 @@ TEST(GcMatrixTest, CorruptSerializationRejected) {
   bytes[0] = 0xff;  // invalid format byte
   ByteReader r(bytes);
   EXPECT_THROW(GcMatrix::Deserialize(&r, gc.shared_dictionary()), Error);
+}
+
+TEST(GcMatrixTest, RuleCountBeyondTheSymbolSpaceRejectedByName) {
+  // 2 * (2^63 + 1) wraps to 2, so a two-entry R would pass a length check
+  // made by multiplication and the rule scan would read past it. The rule
+  // count must fail against the u32 symbol space before anything uses it.
+  auto dict = std::make_shared<const std::vector<double>>(
+      std::vector<double>{1.5});
+  std::vector<u32> c = {1, kCsrvSentinel};
+  std::vector<u32> r = {1, 1};
+  ByteWriter w;
+  w.Put<u8>(static_cast<u8>(GcFormat::kRe32));
+  w.PutVarint(1);  // rows
+  w.PutVarint(1);  // cols
+  w.PutVarint(2);  // alphabet: sentinel + one (value, column) terminal
+  w.PutVarint(c.size());
+  w.PutVarint((u64{1} << 63) + 1);  // rule count
+  w.PutArray(std::span<const u32>(c));
+  w.PutArray(std::span<const u32>(r));
+  ByteReader reader(w.buffer());
+  try {
+    GcMatrix::Deserialize(&reader, dict);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("exceed the u32 symbol space"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(IntVectorRestoreTest, SizeTimesWidthOverflowRejectedByName) {
+  // 2^63 two-bit entries are 2^64 bits, which wraps to 0 and would match
+  // an empty word array.
+  IntVector packed;
+  try {
+    packed.RestoreFrom(std::size_t{1} << 63, 2, ArrayRef<u64>());
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("overflows its bit count"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // --------------------------------------------------------------------------

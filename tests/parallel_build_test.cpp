@@ -187,7 +187,8 @@ TEST(ParallelBuildFailureTest, FailedPartitionLeavesNoHalfStore) {
 
 TEST(ParallelBuildFailureTest, FailedRepartitionPreservesExistingStore) {
   // Overwriting a healthy store with a failing build must leave every
-  // original file untouched (the staged-rename protocol's whole point).
+  // original file untouched: the failed generation's files are removed and
+  // the manifest, the only commit point, was never replaced.
   DenseMatrix dense = TestMatrix();
   std::string dir = ScratchPath("repartition");
   MatrixStore::Partition(dense, "gcm:re_32", {.shards = 3}, dir);

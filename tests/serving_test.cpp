@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -122,6 +123,22 @@ TEST(ShardManifestTest, FileRoundTrip) {
   EXPECT_EQ(ShardManifest::Load(file), manifest);
   EXPECT_EQ(manifest.TotalCompressedBytes(), 13u + 19u);
   EXPECT_EQ(manifest.FormatTag(), "sharded?inner=csr&shards=2");
+}
+
+TEST(ShardManifestTest, ShardFileNamesCarryTheirGeneration) {
+  // A store write deletes shard files of other generations, so only names
+  // it could have written may parse; every other file is left alone.
+  EXPECT_EQ(ShardFileName(1, 0), "shard_g1_00000.gcsnap");
+  EXPECT_EQ(ShardFileGeneration(ShardFileName(7, 123456)), 7u);
+  EXPECT_EQ(ShardFileGeneration("shard_00002.gcsnap"), 0u);
+  EXPECT_EQ(ShardFileGeneration("shard_g999999999999999999_00000.gcsnap"),
+            999999999999999999u);
+  for (const char* other :
+       {"manifest.gcsnap", "cluster.gcsnap", "shard_g1_00000.gcsnap.tmp.7.0",
+        "shard_g_00000.gcsnap", "shard_g1.gcsnap", "xshard_00000.gcsnap",
+        "shard_g1000000000000000000_00000.gcsnap"}) {
+    EXPECT_EQ(ShardFileGeneration(other), std::nullopt) << other;
+  }
 }
 
 TEST(ShardManifestTest, ValidateRejectsBadTilings) {
@@ -341,6 +358,103 @@ TEST(MatrixStoreTest, TargetBytesPolicyBoundsTheDenseSliceSize) {
     EXPECT_LE(shard.rows() * dense.cols() * sizeof(double),
               20 * dense.cols() * sizeof(double));
   }
+}
+
+/// The names of the files in `dir`, sorted.
+std::vector<std::string> FileNames(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(MatrixStoreTest, UncommittedGenerationIsIgnoredThenCollected) {
+  // A Partition killed before its manifest rename leaves the next
+  // generation's shard files beside the committed store. Open must serve
+  // the committed generation; the next Partition must write past the
+  // litter's generation and collect it.
+  DenseMatrix dense = TestMatrix();
+  std::string dir = ScratchPath("uncommitted");
+  ShardManifest committed =
+      MatrixStore::Partition(dense, "gcm:re_32", {.shards = 3}, dir);
+  for (std::size_t i = 0; i < committed.shards.size(); ++i) {
+    EXPECT_EQ(committed.shards[i].file, ShardFileName(1, i));
+  }
+  std::vector<double> x = RandomVector(dense.cols(), 5);
+  std::vector<double> want = MatrixStore::Open(dir).MultiplyRight(x);
+
+  Rng rng(99);
+  DenseMatrix other =
+      DenseMatrix::Random(dense.rows(), dense.cols(), 0.5, 5, &rng);
+  for (std::size_t i = 0; i < 2; ++i) {
+    AnyMatrix::Build(other.RowSlice(20 * i, 20 * (i + 1)), "gcm:re_32")
+        .Save((fs::path(dir) / ShardFileName(2, i)).string());
+  }
+  {
+    AnyMatrix served = MatrixStore::Open(dir, ShardLoadMode::kEager);
+    EXPECT_EQ(DenseMatrix::MaxAbsDiff(served.ToDense(), dense), 0.0);
+    EXPECT_TRUE(BitwiseEqual(served.MultiplyRight(x), want));
+  }
+
+  ShardManifest next =
+      MatrixStore::Partition(dense, "gcm:re_32", {.shards = 3}, dir);
+  std::vector<std::string> expected = {kShardManifestFileName};
+  for (std::size_t i = 0; i < next.shards.size(); ++i) {
+    EXPECT_EQ(next.shards[i].file, ShardFileName(3, i));
+    expected.push_back(ShardFileName(3, i));
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(FileNames(dir), expected);
+  EXPECT_TRUE(BitwiseEqual(MatrixStore::Open(dir).MultiplyRight(x), want));
+}
+
+TEST(MatrixStoreTest, RaggedStoreResavesAndServesBitwise) {
+  // Partition always cuts one grain, but a store built by hand may tile
+  // its rows unevenly. Resave keeps the manifest's own row ranges, and
+  // collects the legacy-named files it replaces.
+  DenseMatrix dense = TestMatrix();  // 60 rows
+  std::string dir = ScratchPath("ragged");
+  fs::create_directories(dir);
+  const std::pair<std::size_t, std::size_t> kRanges[] = {
+      {0, 7}, {7, 40}, {40, 41}, {41, 60}};
+  ShardManifest manifest;
+  manifest.rows = dense.rows();
+  manifest.cols = dense.cols();
+  for (const auto& [begin, end] : kRanges) {
+    AnyMatrix shard = AnyMatrix::Build(dense.RowSlice(begin, end), "csrv");
+    std::vector<u8> bytes = shard.SaveSnapshotBytes();
+    char file[32];
+    std::snprintf(file, sizeof(file), "shard_%05zu.gcsnap",
+                  manifest.shards.size());
+    WriteFileBytes((fs::path(dir) / file).string(), bytes);
+    manifest.shards.push_back({begin, end, file, shard.FormatTag(),
+                               Crc32(bytes.data(), bytes.size()),
+                               bytes.size(), shard.CompressedBytes()});
+  }
+  manifest.Save((fs::path(dir) / kShardManifestFileName).string());
+  std::vector<double> x = RandomVector(dense.cols(), 6);
+  std::vector<double> y = RandomVector(dense.rows(), 7);
+  AnyMatrix before = MatrixStore::Open(dir);
+  std::vector<double> want_right = before.MultiplyRight(x);
+  std::vector<double> want_left = before.MultiplyLeft(y);
+
+  ShardManifest resaved = MatrixStore::Resave(dir);
+  ASSERT_EQ(resaved.shards.size(), std::size(kRanges));
+  std::vector<std::string> expected = {kShardManifestFileName};
+  for (std::size_t i = 0; i < resaved.shards.size(); ++i) {
+    EXPECT_EQ(resaved.shards[i].row_begin, kRanges[i].first);
+    EXPECT_EQ(resaved.shards[i].row_end, kRanges[i].second);
+    EXPECT_EQ(resaved.shards[i].file, ShardFileName(1, i));
+    expected.push_back(ShardFileName(1, i));
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(FileNames(dir), expected);
+  AnyMatrix after = MatrixStore::Open(dir, ShardLoadMode::kEager);
+  EXPECT_EQ(DenseMatrix::MaxAbsDiff(after.ToDense(), dense), 0.0);
+  EXPECT_TRUE(BitwiseEqual(after.MultiplyRight(x), want_right));
+  EXPECT_TRUE(BitwiseEqual(after.MultiplyLeft(y), want_left));
 }
 
 // --------------------------------------------------------------------------

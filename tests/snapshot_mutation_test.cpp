@@ -16,6 +16,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -233,6 +234,32 @@ TEST(SnapshotStructuralMutationTest, TruncationInsidePaddingIsNamed) {
   FixChecksum(&bytes);
   ExpectThrowNaming([&] { SnapshotReader reader(bytes); },
                     "truncated inside its alignment padding", "payload");
+}
+
+TEST(SnapshotStructuralMutationTest, DenseShapeOverflowIsNamed) {
+  // A checksum-valid dense snapshot declaring 2^32 x 2^32 entries and
+  // carrying none: rows * cols wraps to 0, which must not pass for an
+  // empty payload (a multiply would then read far out of bounds).
+  const u64 side = u64{1} << 32;
+  SnapshotWriter writer("dense");
+  ByteWriter& meta = writer.BeginSection("meta");
+  meta.PutVarint(side);
+  meta.PutVarint(side);
+  meta.Put<u64>(0);
+  ByteWriter& payload =
+      writer.BeginSection("dense", kPayloadSectionAlignment);
+  payload.PutVarint(side);
+  payload.PutVarint(side);
+  payload.PutArray(std::span<const double>());
+  std::vector<u8> bytes = writer.Finish();
+  try {
+    AnyMatrix::LoadSnapshotBytes(bytes);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("overflows its entry count"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SnapshotMutationTest, MutatedStoreManifestLoadsOrThrows) {
