@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -566,6 +567,10 @@ u64 MatrixSpec::GetBytes(const std::string& key, u64 fallback) const {
         "\": expected a byte size like 64MiB (suffixes: B KB MB GB KiB MiB "
         "GiB), got \"" +
         value + '"');
+  }
+  if (parsed > std::numeric_limits<u64>::max() / unit) {
+    throw std::invalid_argument("spec key \"" + key + "\": byte size \"" +
+                                value + "\" does not fit in 64 bits");
   }
   return static_cast<u64>(parsed) * unit;
 }

@@ -40,14 +40,6 @@ u64 Client::SendPing() { return SendRequest(MsgType::kPing, {}); }
 
 u64 Client::SendInfo() { return SendRequest(MsgType::kInfo, {}); }
 
-u64 Client::SendHello(const HelloRequest& hello) {
-  ByteWriter out;
-  hello.EncodeTo(&out);
-  return SendRequest(MsgType::kHello, out.buffer());
-}
-
-u64 Client::SendHealth() { return SendRequest(MsgType::kHealth, {}); }
-
 Client::Response Client::Await(u64 request_id) {
   for (;;) {
     auto it = buffered_.find(request_id);
@@ -73,12 +65,6 @@ Client::Response Client::Await(u64 request_id) {
         break;
       case MsgType::kMvmReply:
         response.values = std::move(MvmReply::DecodeFrom(&in).values);
-        break;
-      case MsgType::kHelloReply:
-        response.hello = HelloReply::DecodeFrom(&in);
-        break;
-      case MsgType::kHealthReply:
-        response.health = HealthReply::DecodeFrom(&in);
         break;
       case MsgType::kError: {
         ErrorReply reply = ErrorReply::DecodeFrom(&in);
@@ -128,22 +114,6 @@ ServerInfo Client::Info() {
 void Client::Ping() {
   Response response = Await(SendPing());
   if (response.type != MsgType::kPong) ThrowErrorReply("Ping", response);
-}
-
-HelloReply Client::Hello(const HelloRequest& hello) {
-  Response response = Await(SendHello(hello));
-  if (response.type != MsgType::kHelloReply) {
-    ThrowErrorReply("Hello", response);
-  }
-  return response.hello;
-}
-
-HealthReply Client::Health() {
-  Response response = Await(SendHealth());
-  if (response.type != MsgType::kHealthReply) {
-    ThrowErrorReply("Health", response);
-  }
-  return response.health;
 }
 
 void Client::Close() { socket_.ShutdownBoth(); }

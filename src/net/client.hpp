@@ -34,8 +34,6 @@ class Client {
     std::string message;
     std::vector<double> values;  ///< kMvmReply payload
     ServerInfo info;             ///< kInfoReply payload
-    HelloReply hello;            ///< kHelloReply payload
-    HealthReply health;          ///< kHealthReply payload
     std::chrono::steady_clock::time_point recv_time;  ///< frame read time
   };
 
@@ -54,8 +52,6 @@ class Client {
                   u64 row_end = 0);
   u64 SendPing();
   u64 SendInfo();
-  u64 SendHello(const HelloRequest& hello);
-  u64 SendHealth();
 
   /// Blocks until the reply for `request_id` arrives. Replies for other
   /// in-flight ids read along the way are buffered for their own Await.
@@ -71,10 +67,6 @@ class Client {
                               u64 row_end = 0);
   ServerInfo Info();
   void Ping();
-  /// Version/capability handshake; a kCapabilityMismatch or kBadVersion
-  /// error reply surfaces as gcm::Error naming the code.
-  HelloReply Hello(const HelloRequest& hello);
-  HealthReply Health();
 
   /// Half-closes the connection (the server sees a clean EOF).
   void Close();

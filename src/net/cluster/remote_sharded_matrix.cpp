@@ -42,11 +42,9 @@ std::shared_ptr<RemoteShardedMatrix> RemoteShardedMatrix::Connect(
   std::string last_error = "manifest names no endpoints";
   for (const WorkerEndpoint& worker : DistinctEndpoints(remote->manifest_)) {
     try {
-      Channel& channel = remote->GetChannel(worker);
-      if (!any) {
-        remote->compressed_bytes_ =
-            channel.client->Info().compressed_bytes;
-      }
+      ServerInfo info;
+      remote->GetChannel(worker, &info);
+      if (!any) remote->compressed_bytes_ = info.compressed_bytes;
       any = true;
     } catch (const Error& e) {
       last_error = worker.ToString() + ": " + e.what();
@@ -67,7 +65,7 @@ ClusterStats RemoteShardedMatrix::stats() const {
 // ---------------------------------------------------------------------------
 
 RemoteShardedMatrix::Channel& RemoteShardedMatrix::GetChannel(
-    const WorkerEndpoint& worker) const {
+    const WorkerEndpoint& worker, ServerInfo* opened) const {
   const std::string key = worker.ToString();
   auto it = channels_.find(key);
   if (it != channels_.end()) return it->second;
@@ -76,14 +74,12 @@ RemoteShardedMatrix::Channel& RemoteShardedMatrix::GetChannel(
   if (config_.deadline_ms > 0) {
     client.socket().SetRecvTimeout(config_.deadline_ms);
   }
-  HelloRequest hello;
-  hello.required = kCapRowRangeMvm;
-  hello.peer = config_.peer;
-  HelloReply reply = client.Hello(hello);  // error replies throw gcm::Error
-  GCM_CHECK_MSG(reply.rows == manifest_.rows && reply.cols == manifest_.cols,
-                "worker " << key << " serves a " << reply.rows << "x"
-                          << reply.cols << " matrix but the manifest expects "
+  ServerInfo info = client.Info();  // error replies throw gcm::Error
+  GCM_CHECK_MSG(info.rows == manifest_.rows && info.cols == manifest_.cols,
+                "worker " << key << " serves a " << info.rows << "x"
+                          << info.cols << " matrix but the manifest expects "
                           << manifest_.rows << "x" << manifest_.cols);
+  if (opened != nullptr) *opened = std::move(info);
 
   Channel channel;
   channel.client = std::make_unique<Client>(std::move(client));
@@ -213,15 +209,13 @@ void RemoteShardedMatrix::GatherJob(RangeJob& job, bool right,
       SleepBackoff(backoff);
       continue;
     }
-    // Anything else (dimension mismatch, bad range, capability problems)
-    // is a configuration or software error retries cannot fix.
+    // Anything else (dimension mismatch, bad range) is a configuration or
+    // software error retries cannot fix.
     throw RpcError(response.error,
                    "worker " + job.channel_key + " answered " +
                        NetErrorName(response.error) + ": " + response.message);
   }
-  throw RpcError(last == NetError::kDeadlineExceeded
-                     ? NetError::kDeadlineExceeded
-                     : last,
+  throw RpcError(last,
                  "range [" + std::to_string(range.row_begin) + ", " +
                      std::to_string(range.row_end) +
                      "): no replica could serve after " +

@@ -26,9 +26,10 @@
 // kDeadlineExceeded when the last failure was a timeout) -- which a
 // coordinator Server forwards to its clients as a named error frame.
 //
-// Connections hello-handshake on open (protocol version + capability bits
-// + dimension check against the manifest), so a worker serving the wrong
-// matrix is rejected by name before any row range is routed to it.
+// Each connection opens with an Info round trip whose dimensions are
+// checked against the manifest, so a worker serving the wrong matrix is
+// rejected by name before any row range is routed to it (a worker speaking
+// another protocol version already fails at the frame header).
 #pragma once
 
 #include <cstddef>
@@ -55,8 +56,6 @@ struct ClusterConfig {
   /// deadline itself already consumed the wait).
   BackoffPolicy backoff{};
   u64 backoff_seed = 0;
-  /// Identity string sent in the hello handshake.
-  std::string peer = "coordinator";
 };
 
 /// Monotonic scatter counters (a consistent snapshot via stats()).
@@ -71,10 +70,10 @@ struct ClusterStats {
 
 class RemoteShardedMatrix final : public IMatrixKernel {
  public:
-  /// Validates the manifest and hello-handshakes every distinct endpoint
-  /// (protocol version, required capabilities, dimensions). Unreachable
-  /// endpoints are tolerated -- their channels reconnect lazily per
-  /// request -- but at least one worker must answer, or this throws.
+  /// Validates the manifest and asks every distinct endpoint for its Info
+  /// (the dimensions must match the manifest's). Unreachable endpoints are
+  /// tolerated -- their channels reconnect lazily per request -- but at
+  /// least one worker must answer, or this throws.
   static std::shared_ptr<RemoteShardedMatrix> Connect(
       ClusterManifest manifest, ClusterConfig config = {});
 
@@ -83,7 +82,7 @@ class RemoteShardedMatrix final : public IMatrixKernel {
   std::size_t rows() const override { return manifest_.rows; }
   std::size_t cols() const override { return manifest_.cols; }
   /// The store size reported by the first worker that answered the
-  /// connect-time handshake (workers serve the same store).
+  /// connect-time Info (workers serve the same store).
   u64 CompressedBytes() const override { return compressed_bytes_; }
   std::string FormatTag() const override { return manifest_.FormatTag(); }
 
@@ -100,7 +99,7 @@ class RemoteShardedMatrix final : public IMatrixKernel {
   ClusterStats stats() const;
 
  private:
-  /// One pipelined connection to a worker, hello-validated. The epoch
+  /// One pipelined connection to a worker, Info-validated. The epoch
   /// lets in-flight jobs detect that their channel was dropped and
   /// re-route instead of awaiting a dead socket.
   struct Channel {
@@ -124,9 +123,12 @@ class RemoteShardedMatrix final : public IMatrixKernel {
   RemoteShardedMatrix(ClusterManifest manifest, ClusterConfig config)
       : manifest_(std::move(manifest)), config_(std::move(config)) {}
 
-  /// Finds or opens (+handshakes) the channel to `worker`. Throws
-  /// gcm::Error when the worker is unreachable or fails the handshake.
-  Channel& GetChannel(const WorkerEndpoint& worker) const;
+  /// Finds or opens the channel to `worker`; opening one asks the worker
+  /// for its Info and checks the dimensions, and `opened` (when given)
+  /// receives that reply. Throws gcm::Error when the worker is unreachable
+  /// or serves another shape.
+  Channel& GetChannel(const WorkerEndpoint& worker,
+                      ServerInfo* opened = nullptr) const;
   void DropChannel(const std::string& key) const;
 
   /// Sends `job` to the next replica in its range's worker list,

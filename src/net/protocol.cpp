@@ -26,34 +26,16 @@ namespace {
 // Frame header
 // ---------------------------------------------------------------------------
 
-bool IsRequestType(MsgType type) {
-  switch (type) {
-    case MsgType::kPing:
-    case MsgType::kInfo:
-    case MsgType::kMvmRight:
-    case MsgType::kMvmLeft:
-    case MsgType::kHello:
-    case MsgType::kHealth:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool IsKnownType(u16 type) {
   switch (static_cast<MsgType>(type)) {
     case MsgType::kPing:
     case MsgType::kInfo:
     case MsgType::kMvmRight:
     case MsgType::kMvmLeft:
-    case MsgType::kHello:
-    case MsgType::kHealth:
     case MsgType::kPong:
     case MsgType::kInfoReply:
     case MsgType::kMvmReply:
     case MsgType::kError:
-    case MsgType::kHelloReply:
-    case MsgType::kHealthReply:
       return true;
     default:
       return false;
@@ -76,7 +58,6 @@ const char* NetErrorName(NetError code) {
     case NetError::kInternal: return "internal";
     case NetError::kDeadlineExceeded: return "deadline_exceeded";
     case NetError::kNoReplica: return "no_replica";
-    case NetError::kCapabilityMismatch: return "capability_mismatch";
   }
   return "unknown_error";
 }
@@ -217,59 +198,6 @@ ErrorReply ErrorReply::DecodeFrom(ByteReader* in) {
   reply.code = static_cast<NetError>(in->Get<u16>());
   reply.message = in->GetString();
   CheckFullyConsumed(*in, "ErrorReply");
-  return reply;
-}
-
-void HelloRequest::EncodeTo(ByteWriter* out) const {
-  out->Put<u16>(version);
-  out->PutVarint(capabilities);
-  out->PutVarint(required);
-  out->PutString(peer);
-}
-
-HelloRequest HelloRequest::DecodeFrom(ByteReader* in) {
-  HelloRequest request;
-  request.version = in->Get<u16>();
-  request.capabilities = in->GetVarint();
-  request.required = in->GetVarint();
-  request.peer = in->GetString();
-  CheckFullyConsumed(*in, "HelloRequest");
-  return request;
-}
-
-void HelloReply::EncodeTo(ByteWriter* out) const {
-  out->Put<u16>(version);
-  out->PutVarint(capabilities);
-  out->PutVarint(rows);
-  out->PutVarint(cols);
-  out->PutString(format_tag);
-}
-
-HelloReply HelloReply::DecodeFrom(ByteReader* in) {
-  HelloReply reply;
-  reply.version = in->Get<u16>();
-  reply.capabilities = in->GetVarint();
-  reply.rows = in->GetVarint();
-  reply.cols = in->GetVarint();
-  reply.format_tag = in->GetString();
-  CheckFullyConsumed(*in, "HelloReply");
-  return reply;
-}
-
-void HealthReply::EncodeTo(ByteWriter* out) const {
-  out->Put<u8>(accepting);
-  out->PutVarint(queue_depth);
-  out->PutVarint(resident_shards);
-  out->PutVarint(requests_served);
-}
-
-HealthReply HealthReply::DecodeFrom(ByteReader* in) {
-  HealthReply reply;
-  reply.accepting = in->Get<u8>();
-  reply.queue_depth = in->GetVarint();
-  reply.resident_shards = in->GetVarint();
-  reply.requests_served = in->GetVarint();
-  CheckFullyConsumed(*in, "HealthReply");
   return reply;
 }
 

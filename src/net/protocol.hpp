@@ -1,7 +1,7 @@
 // Wire protocol for the networked serving subsystem.
 //
 // Length-prefixed binary frames over a byte stream (TCP), echoing the
-// snapshot container's defensive idioms: magic + version negotiation up
+// snapshot container's defensive idioms: magic + an exact version check up
 // front, an explicit payload length with a hard cap, and a CRC32 over the
 // payload so a corrupt frame is named, never parsed. One frame:
 //
@@ -14,12 +14,15 @@
 //    20      4     payload_crc    Crc32 of the payload bytes
 //    24      n     payload        ByteWriter/ByteReader-encoded body
 //
-// Requests: Ping (empty), Info (empty), MvmRight / MvmLeft (MvmRequest),
-// Hello (HelloRequest: version/capability negotiation), Health (empty).
-// Responses: Pong (empty), InfoReply (ServerInfo), MvmReply (values),
-// HelloReply, HealthReply, and Error (ErrorReply: a NetError code +
-// message). Responses echo the request's id, so a pipelined client can
-// match them out of order.
+// Requests: Ping (empty), Info (empty), MvmRight / MvmLeft (MvmRequest).
+// Responses: Pong (empty), InfoReply (ServerInfo), MvmReply (values), and
+// Error (ErrorReply: a NetError code + message). Responses echo the
+// request's id, so a pipelined client can match them out of order.
+//
+// There is no separate handshake: the header version must match exactly,
+// so two peers that exchange any frame speak the same protocol, and Info
+// is how a peer learns what a server serves (a coordinator checks a
+// worker's dimensions against its manifest with it).
 //
 // Error discipline mirrors the snapshot loaders: anything wrong with the
 // *stream* (bad magic, unknown version, oversized length) throws
@@ -45,9 +48,11 @@ namespace gcm {
 
 /// "GCNP" little-endian: GCm Network Protocol.
 inline constexpr u32 kNetMagic = 0x504e4347u;
-/// Version 2 dropped the batching fields from ServerInfo; a version-1
-/// peer gets kBadVersion from the frame header, never a body decode error.
-inline constexpr u16 kNetProtocolVersion = 2;
+/// Version 3 deleted the separate handshake and health frames (Info is
+/// the only introspection request); version 2 dropped the batching fields
+/// from ServerInfo. An older peer gets kBadVersion from the frame header,
+/// never a body decode error.
+inline constexpr u16 kNetProtocolVersion = 3;
 
 /// Hard cap on a frame payload (64 MiB) -- an admission bound, not a
 /// correctness bound: a hostile length field must not drive allocation.
@@ -59,18 +64,13 @@ enum class MsgType : u16 {
   kInfo = 2,
   kMvmRight = 3,  ///< y = M x, optionally restricted to a row range
   kMvmLeft = 4,   ///< x^t = y^t M
-  kHello = 5,     ///< version/capability negotiation (HelloRequest)
-  kHealth = 6,    ///< liveness + load probe (empty body)
   // Responses.
   kPong = 64,
   kInfoReply = 65,
   kMvmReply = 66,
   kError = 67,
-  kHelloReply = 68,
-  kHealthReply = 69,
 };
 
-bool IsRequestType(MsgType type);
 bool IsKnownType(u16 type);
 
 /// Named protocol errors; the code travels on the wire inside ErrorReply.
@@ -87,18 +87,9 @@ enum class NetError : u16 {
   kQueueFull = 9,
   kShuttingDown = 10,
   kInternal = 11,
-  kDeadlineExceeded = 12,    ///< a cluster request missed its deadline
-  kNoReplica = 13,           ///< no replica could serve a row range
-  kCapabilityMismatch = 14,  ///< hello required capabilities we lack
+  kDeadlineExceeded = 12,  ///< a cluster request missed its deadline
+  kNoReplica = 13,         ///< no replica could serve a row range
 };
-
-// Capability bits advertised in the hello handshake. A peer that *requires*
-// a bit this build does not speak is answered with kCapabilityMismatch, so
-// future extensions fail by name instead of by malformed frame.
-inline constexpr u64 kCapRowRangeMvm = 1u << 0;  ///< row-range MvmRequest
-inline constexpr u64 kCapHealth = 1u << 1;       ///< health probe frames
-/// All capability bits this build speaks.
-inline constexpr u64 kNetCapabilities = kCapRowRangeMvm | kCapHealth;
 
 /// Stable lower_snake name for a NetError (total: unknown codes map to
 /// "unknown_error", so logging a hostile code cannot itself fail).
@@ -118,9 +109,9 @@ class ProtocolError : public Error {
 };
 
 /// Request-level failure with a named code. The cluster layer throws this
-/// when a scatter cannot complete (no replica, deadline, capability
-/// mismatch); a server executing the request catches it and answers with an
-/// Error frame carrying the code -- the connection stays up.
+/// when a scatter cannot complete (no replica, deadline); a server
+/// executing the request catches it and answers with an Error frame
+/// carrying the code -- the connection stays up.
 class RpcError : public Error {
  public:
   RpcError(NetError code, const std::string& what)
@@ -187,7 +178,8 @@ struct MvmReply {
   static MvmReply DecodeFrom(ByteReader* in);
 };
 
-/// InfoReply body: identity plus serving counters (a monitoring surface).
+/// InfoReply body: identity plus serving counters -- the one way to ask a
+/// server what it serves (handshake and monitoring alike).
 struct ServerInfo {
   std::string format_tag;
   u64 rows = 0;
@@ -209,47 +201,6 @@ struct ErrorReply {
 
   void EncodeTo(ByteWriter* out) const;
   static ErrorReply DecodeFrom(ByteReader* in);
-};
-
-/// Hello body: version + capability negotiation. `required` names the
-/// capability bits the peer cannot work without; a server lacking any of
-/// them answers kCapabilityMismatch instead of a HelloReply. `peer` is a
-/// free-form identity string for logs ("coordinator", "worker:3", ...).
-struct HelloRequest {
-  u16 version = kNetProtocolVersion;
-  u64 capabilities = kNetCapabilities;
-  u64 required = 0;
-  std::string peer;
-
-  void EncodeTo(ByteWriter* out) const;
-  static HelloRequest DecodeFrom(ByteReader* in);
-};
-
-/// HelloReply body: the server's version/capabilities plus the serving
-/// matrix identity, so a coordinator can validate a worker's dimensions
-/// before routing any row range to it.
-struct HelloReply {
-  u16 version = kNetProtocolVersion;
-  u64 capabilities = kNetCapabilities;
-  u64 rows = 0;
-  u64 cols = 0;
-  std::string format_tag;
-
-  void EncodeTo(ByteWriter* out) const;
-  static HelloReply DecodeFrom(ByteReader* in);
-};
-
-/// HealthReply body: a cheap liveness + load probe that every server
-/// answers (Client::Health). The coordinator does not send it: it tries a
-/// range's replicas in manifest order and fails over on error.
-struct HealthReply {
-  u8 accepting = 1;  ///< 0 once the server has begun shutting down
-  u64 queue_depth = 0;
-  u64 resident_shards = 0;
-  u64 requests_served = 0;
-
-  void EncodeTo(ByteWriter* out) const;
-  static HealthReply DecodeFrom(ByteReader* in);
 };
 
 // ---------------------------------------------------------------------------

@@ -257,57 +257,6 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       SendFrameTo(*conn, MsgType::kInfoReply, id, out.buffer());
       return;
     }
-    case MsgType::kHello: {
-      HelloRequest hello;
-      try {
-        ByteReader in(frame.payload);
-        hello = HelloRequest::DecodeFrom(&in);
-      } catch (const Error& e) {
-        SendErrorTo(*conn, id, NetError::kMalformedPayload, e.what());
-        return;
-      }
-      // The frame header already pinned the version; the body repeats it
-      // for forward compatibility with future multi-version framing.
-      if (hello.version != kNetProtocolVersion) {
-        SendErrorTo(*conn, id, NetError::kBadVersion,
-                    "peer speaks protocol version " +
-                        std::to_string(hello.version) + ", this server " +
-                        std::to_string(kNetProtocolVersion));
-        return;
-      }
-      const u64 missing = hello.required & ~kNetCapabilities;
-      if (missing != 0) {
-        SendErrorTo(*conn, id, NetError::kCapabilityMismatch,
-                    "peer \"" + hello.peer + "\" requires capability bits " +
-                        std::to_string(missing) +
-                        " this server does not speak");
-        return;
-      }
-      HelloReply reply;
-      reply.rows = matrix_.rows();
-      reply.cols = matrix_.cols();
-      reply.format_tag = matrix_.FormatTag();
-      ByteWriter out;
-      reply.EncodeTo(&out);
-      SendFrameTo(*conn, MsgType::kHelloReply, id, out.buffer());
-      return;
-    }
-    case MsgType::kHealth: {
-      HealthReply health;
-      health.accepting = stopping_ ? 0 : 1;
-      health.queue_depth = QueueDepth();
-      if (sharded_ != nullptr) {
-        health.resident_shards = sharded_->LoadedShardCount();
-      }
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mu_);
-        health.requests_served = stats_.replies_sent;
-      }
-      ByteWriter out;
-      health.EncodeTo(&out);
-      SendFrameTo(*conn, MsgType::kHealthReply, id, out.buffer());
-      return;
-    }
     case MsgType::kMvmRight:
     case MsgType::kMvmLeft:
       break;

@@ -249,6 +249,25 @@ TEST(MatrixSpecTest, ParsesByteSizes) {
   EXPECT_THROW(
       MatrixSpec::Parse("auto?budget=lots").GetBytes("budget", 0),
       std::invalid_argument);
+  // The largest size that fits, and the products that would wrap around
+  // u64 (2^34 GiB = 2^64 bytes reads as 0; one GiB more as 1 GiB).
+  EXPECT_EQ(MatrixSpec::Parse("auto?budget=17179869183GiB")
+                .GetBytes("budget", 0),
+            17179869183ULL << 30);
+  for (const char* spec : {"sharded?target_bytes=17179869184GiB",
+                           "auto?budget=17179869185GiB",
+                           "auto?budget=18446744073709552KB"}) {
+    SCOPED_TRACE(spec);
+    MatrixSpec parsed = MatrixSpec::Parse(spec);
+    const std::string key = parsed.params.begin()->first;
+    try {
+      parsed.GetBytes(key, 0);
+      ADD_FAILURE() << "an overflowing byte size was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(MatrixSpecTest, RejectsMalformedSpecs) {

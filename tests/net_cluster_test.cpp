@@ -1,5 +1,5 @@
 // Multi-node cluster serving suite: backoff policy unit tests, cluster
-// manifest round trips, hello/health protocol frames, shard-aligned left
+// manifest round trips, Info progress counters, shard-aligned left
 // ranges, and -- the core contract -- a coordinator scattering over real
 // loopback worker servers with results bitwise equal to the local
 // ShardedMatrix, including under failure: worker killed mid-request
@@ -184,7 +184,7 @@ TEST(ClusterManifestTest, DeriveRoutesShardsRoundRobinWithReplicas) {
 }
 
 // --------------------------------------------------------------------------
-// Hello / health frames
+// Info counters
 // --------------------------------------------------------------------------
 
 /// Server on an ephemeral loopback port, stopped on destruction.
@@ -199,45 +199,14 @@ struct TestServer {
   std::unique_ptr<Server> server;
 };
 
-TEST(ClusterProtocolTest, HelloReportsIdentityAndCapabilities) {
-  AnyMatrix m = TestSharded();
-  TestServer ts(m);
-  Client client = ts.Connect();
-
-  HelloReply reply = client.Hello(HelloRequest{.peer = "test"});
-  EXPECT_EQ(reply.version, kNetProtocolVersion);
-  EXPECT_EQ(reply.capabilities, kNetCapabilities);
-  EXPECT_EQ(reply.rows, m.rows());
-  EXPECT_EQ(reply.cols, m.cols());
-  EXPECT_EQ(reply.format_tag, m.FormatTag());
-}
-
-TEST(ClusterProtocolTest, HelloRequiringUnknownCapabilityIsNamedError) {
+TEST(ClusterProtocolTest, InfoReportsProgressAndResidentShards) {
   TestServer ts(TestSharded());
   Client client = ts.Connect();
-  HelloRequest hello;
-  hello.required = u64{1} << 7;  // a bit this server does not speak
-  try {
-    client.Hello(hello);
-    FAIL() << "capability mismatch not reported";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("capability_mismatch"),
-              std::string::npos)
-        << e.what();
-  }
-  client.Ping();  // request-scoped error: the connection survives
-}
-
-TEST(ClusterProtocolTest, HealthReportsAcceptingAndProgress) {
-  TestServer ts(TestSharded());
-  Client client = ts.Connect();
-  HealthReply before = client.Health();
-  EXPECT_EQ(before.accepting, 1);
-  EXPECT_EQ(before.queue_depth, 0u);
+  ServerInfo before = client.Info();
 
   std::vector<double> x = RandomVector(11, 31);
   client.MvmRight(x);
-  HealthReply after = client.Health();
+  ServerInfo after = client.Info();
   EXPECT_GE(after.requests_served, before.requests_served + 1);
   EXPECT_EQ(after.resident_shards, 3u);
 }
@@ -356,6 +325,23 @@ TEST(RemoteShardedMatrixTest, ConnectRejectsUnreachableCluster) {
     EXPECT_NE(std::string(e.what()).find("no cluster worker reachable"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(RemoteShardedMatrixTest, ConnectRejectsWorkerOfAnotherShape) {
+  // The only worker serves a 60x11 matrix; the manifest expects 10x4.
+  TestServer worker(TestSharded());
+  ClusterManifest manifest;
+  manifest.rows = 10;
+  manifest.cols = 4;
+  manifest.ranges = {{0, 10, {{kHost, worker.server->port()}}}};
+  try {
+    RemoteShardedMatrix::Connect(manifest, {.max_attempts = 1});
+    FAIL() << "connect to a worker of another shape succeeded";
+  } catch (const Error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("60x11"), std::string::npos) << message;
+    EXPECT_NE(message.find("10x4"), std::string::npos) << message;
   }
 }
 

@@ -150,9 +150,10 @@ TEST(NetProtocolTest, BadMagicIsNamed) {
 }
 
 TEST(NetProtocolTest, WrongVersionIsNamed) {
-  // 1 is the previous version (its ServerInfo body had batching fields),
-  // so an old peer must be named at the header, not fail a body decode.
-  for (int version : {99, 1}) {
+  // 1 and 2 are earlier versions (1's ServerInfo had batching fields, 2
+  // had separate handshake and health frames), so an old peer must be
+  // named at the header, not fail a body decode.
+  for (int version : {99, 1, 2}) {
     SCOPED_TRACE(version);
     std::vector<u8> frame = ValidMvmFrame();
     frame[4] = static_cast<u8>(version);  // version u16 LE, high byte 0
@@ -259,13 +260,17 @@ TEST(NetProtocolTest, NetErrorNameIsTotal) {
 }
 
 TEST(NetProtocolTest, RequestTypeClassification) {
-  EXPECT_TRUE(IsRequestType(MsgType::kPing));
-  EXPECT_TRUE(IsRequestType(MsgType::kMvmRight));
-  EXPECT_FALSE(IsRequestType(MsgType::kMvmReply));
-  EXPECT_FALSE(IsRequestType(MsgType::kError));
+  EXPECT_TRUE(IsKnownType(static_cast<u16>(MsgType::kPing)));
+  EXPECT_TRUE(IsKnownType(static_cast<u16>(MsgType::kMvmRight)));
   EXPECT_TRUE(IsKnownType(static_cast<u16>(MsgType::kPong)));
+  EXPECT_TRUE(IsKnownType(static_cast<u16>(MsgType::kError)));
   EXPECT_FALSE(IsKnownType(0));
   EXPECT_FALSE(IsKnownType(12345));
+  // The version-2 handshake and health types (requests 5, 6; replies 68,
+  // 69) are gone; their numbers are not reused.
+  for (u16 retired : {5, 6, 68, 69}) {
+    EXPECT_FALSE(IsKnownType(retired)) << retired;
+  }
 }
 
 }  // namespace

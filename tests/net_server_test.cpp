@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/any_matrix.hpp"
+#include "encoding/snapshot.hpp"
 #include "matrix/dense_matrix.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
@@ -300,6 +301,33 @@ TEST(NetServerTest, WrongVersionGetsNamedErrorThenClose) {
   std::vector<u8> frame = EncodeFrame(MsgType::kPing, 1, {});
   frame[4] = 99;
   socket.SendAll(frame);
+  ExpectErrorThenClose(socket, NetError::kBadVersion);
+  Client client = ts.Connect();
+  client.Ping();
+}
+
+TEST(NetServerTest, VersionTwoHandshakeGetsBadVersionThenClose) {
+  // A version-2 peer opened with a handshake frame (type 5) whose body was
+  // version, capability bits, required bits and a peer name. The header's
+  // version is checked before anything else, so the body is never parsed.
+  AnyMatrix m = AnyMatrix::Build(TestDense(), "csr");
+  TestServer ts(m);
+  Socket socket = Socket::ConnectTcp(kHost, ts.server->port());
+  ByteWriter body;
+  body.Put<u16>(2);
+  body.PutVarint(3);
+  body.PutVarint(1);
+  body.PutString("coordinator");
+  FrameHeader header;
+  header.version = 2;
+  header.type = 5;
+  header.request_id = 1;
+  header.payload_bytes = static_cast<u32>(body.buffer().size());
+  header.payload_crc = Crc32(body.buffer().data(), body.buffer().size());
+  ByteWriter out;
+  EncodeFrameHeader(header, &out);
+  out.PutBytes(body.buffer().data(), body.buffer().size());
+  socket.SendAll(out.buffer());
   ExpectErrorThenClose(socket, NetError::kBadVersion);
   Client client = ts.Connect();
   client.Ping();
