@@ -36,21 +36,27 @@ std::shared_ptr<RemoteShardedMatrix> RemoteShardedMatrix::Connect(
   // Handshake every distinct endpoint now so a worker serving the wrong
   // matrix (or speaking the wrong protocol) is rejected by name before any
   // row range routes to it. Unreachable endpoints are tolerated -- they
-  // reconnect lazily on first use -- but a cluster with zero reachable
-  // workers is a configuration error, not a retry loop.
+  // reconnect lazily on first use -- but a cluster with zero usable
+  // workers is a configuration error, not a retry loop. A worker that
+  // answered Info and was refused is named as such, apart from the
+  // unreachable ones.
   bool any = false;
-  std::string last_error = "manifest names no endpoints";
+  std::string unreachable = "manifest names no endpoints";
+  std::string refused;
   for (const WorkerEndpoint& worker : DistinctEndpoints(remote->manifest_)) {
+    std::optional<ServerInfo> info;
     try {
-      ServerInfo info;
       remote->GetChannel(worker, &info);
-      if (!any) remote->compressed_bytes_ = info.compressed_bytes;
+      if (!any) remote->compressed_bytes_ = info->compressed_bytes;
       any = true;
     } catch (const Error& e) {
-      last_error = worker.ToString() + ": " + e.what();
+      (info ? refused : unreachable) = worker.ToString() + ": " + e.what();
     }
   }
-  GCM_CHECK_MSG(any, "no cluster worker reachable (last: " << last_error
+  GCM_CHECK_MSG(any || refused.empty(),
+                "cluster workers reached but refused (last: " << refused
+                                                              << ")");
+  GCM_CHECK_MSG(any, "no cluster worker reachable (last: " << unreachable
                                                            << ")");
   return remote;
 }
@@ -65,7 +71,7 @@ ClusterStats RemoteShardedMatrix::stats() const {
 // ---------------------------------------------------------------------------
 
 RemoteShardedMatrix::Channel& RemoteShardedMatrix::GetChannel(
-    const WorkerEndpoint& worker, ServerInfo* opened) const {
+    const WorkerEndpoint& worker, std::optional<ServerInfo>* answer) const {
   const std::string key = worker.ToString();
   auto it = channels_.find(key);
   if (it != channels_.end()) return it->second;
@@ -75,11 +81,11 @@ RemoteShardedMatrix::Channel& RemoteShardedMatrix::GetChannel(
     client.socket().SetRecvTimeout(config_.deadline_ms);
   }
   ServerInfo info = client.Info();  // error replies throw gcm::Error
+  if (answer != nullptr) *answer = info;
   GCM_CHECK_MSG(info.rows == manifest_.rows && info.cols == manifest_.cols,
                 "worker " << key << " serves a " << info.rows << "x"
                           << info.cols << " matrix but the manifest expects "
                           << manifest_.rows << "x" << manifest_.cols);
-  if (opened != nullptr) *opened = std::move(info);
 
   Channel channel;
   channel.client = std::make_unique<Client>(std::move(client));

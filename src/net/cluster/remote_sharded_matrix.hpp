@@ -36,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -124,11 +125,11 @@ class RemoteShardedMatrix final : public IMatrixKernel {
       : manifest_(std::move(manifest)), config_(std::move(config)) {}
 
   /// Finds or opens the channel to `worker`; opening one asks the worker
-  /// for its Info and checks the dimensions, and `opened` (when given)
-  /// receives that reply. Throws gcm::Error when the worker is unreachable
-  /// or serves another shape.
+  /// for its Info and checks the dimensions, and `answer` (when given)
+  /// receives that reply, also when the check then refuses it. Throws
+  /// gcm::Error when the worker is unreachable or serves another shape.
   Channel& GetChannel(const WorkerEndpoint& worker,
-                      ServerInfo* opened = nullptr) const;
+                      std::optional<ServerInfo>* answer = nullptr) const;
   void DropChannel(const std::string& key) const;
 
   /// Sends `job` to the next replica in its range's worker list,

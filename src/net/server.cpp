@@ -15,6 +15,15 @@
 
 namespace gcm {
 
+/// The one kernel pool of every Server in the process (not one per server:
+/// that spawns a worker set per node of a loopback cluster), made on first
+/// use; null on a one-core host, where the kernels run sequentially.
+static ThreadPool* KernelPool() {
+  static const std::unique_ptr<ThreadPool> pool =
+      MakePoolForThreads(std::thread::hardware_concurrency());
+  return pool.get();
+}
+
 struct Server::Connection {
   Socket socket;
   std::mutex write_mu;  ///< reader + dispatcher interleave whole frames
@@ -34,8 +43,6 @@ Server::~Server() { Stop(); }
 
 void Server::Start() {
   GCM_CHECK_MSG(!running_, "Server already started");
-  pool_ = MakePoolForThreads(config_.kernel_threads);
-
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     throw Error(std::string("socket: ") + std::strerror(errno));
@@ -381,7 +388,7 @@ void Server::DispatcherLoop() {
 }
 
 void Server::Execute(PendingMvm& pending) {
-  const MulContext ctx{pool_.get()};
+  const MulContext ctx{KernelPool()};
   const std::size_t begin = pending.row_begin;
   const std::size_t end = pending.row_end;
   const bool full = begin == 0 && end == matrix_.rows();
@@ -417,9 +424,8 @@ void Server::Execute(PendingMvm& pending) {
     return;
   }
 
-  // Counters first, reply second: a client that pipelines a health probe
-  // behind an MVM reply must observe its request counted (the probe
-  // cannot arrive before the reply frame it chases).
+  // Counters first, reply second: an Info pipelined behind an MVM reply
+  // must see its request counted.
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.batches_dispatched;

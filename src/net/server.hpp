@@ -11,12 +11,13 @@
 //                        v
 //                 dispatcher thread: takes the oldest request, executes
 //                 it as ONE single-vector kernel call (MultiplyRight /
-//                 MultiplyLeft, or the shard-range form), and sends its
-//                 MvmReply
+//                 MultiplyLeft, or the shard-range form) on the process
+//                 kernel pool, and sends its MvmReply
 //
 // Requests dispatch in admission order, one kernel call each, so a reply
-// is bitwise identical to the same local call on the served matrix. A
-// pipelining client overlaps its network round trips, not its kernels.
+// is bitwise identical to the same local call (a pooled kernel equals the
+// sequential one). The process-wide pool runs a request's shards or row
+// blocks in parallel; a pipelining client overlaps round trips, not kernels.
 //
 // Residency: when the matrix is sharded and max_resident_bytes is set,
 // the dispatcher evicts least-recently-used shards back under the byte
@@ -42,7 +43,6 @@
 namespace gcm {
 
 class ShardedMatrix;
-class ThreadPool;
 
 struct ServerConfig {
   std::string host = "127.0.0.1";
@@ -50,10 +50,6 @@ struct ServerConfig {
 
   std::size_t admission_queue_limit = 256;  ///< kQueueFull beyond this
   std::size_t max_connections = 64;
-
-  /// Worker threads for the kernel calls: 1 = sequential (no pool),
-  /// 0 = hardware concurrency (util/thread_pool.hpp policy).
-  std::size_t kernel_threads = 1;
 
   /// When > 0 and the matrix is sharded: evict LRU shards until their
   /// resident bytes fit this budget after every request (0 = never evict).
@@ -66,9 +62,8 @@ struct ServerStats {
   u64 requests_admitted = 0;
   u64 replies_sent = 0;
   u64 errors_sent = 0;
-  /// One dispatch per executed request, so max_batch <= 1 and
-  /// batched_requests == 0. Kept for readers of the old batch counters;
-  /// the ROADMAP metrics-registry item folds them into the registry.
+  /// One dispatch per request (max_batch <= 1, batched_requests == 0); kept
+  /// while the benchmark reads them, until the metrics registry folds them.
   u64 batches_dispatched = 0;
   u64 batched_requests = 0;
   u64 max_batch = 0;
@@ -146,7 +141,6 @@ class Server {
   AnyMatrix matrix_;
   const ShardedMatrix* sharded_ = nullptr;  ///< non-null iff matrix is sharded
   ServerConfig config_;
-  std::unique_ptr<ThreadPool> pool_;
 
   int listen_fd_ = -1;
   u16 port_ = 0;

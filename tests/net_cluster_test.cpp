@@ -342,6 +342,11 @@ TEST(RemoteShardedMatrixTest, ConnectRejectsWorkerOfAnotherShape) {
     const std::string message = e.what();
     EXPECT_NE(message.find("60x11"), std::string::npos) << message;
     EXPECT_NE(message.find("10x4"), std::string::npos) << message;
+    // The worker answered: it was refused, not unreachable.
+    EXPECT_EQ(message.find("no cluster worker reachable"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("reached but refused"), std::string::npos)
+        << message;
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -507,6 +508,45 @@ TEST(NetServerTest, ResidencyLimitBoundsTheWorkingSet) {
   EXPECT_GT(ts.server->stats().shard_evictions, 0u);
 }
 
+TEST(NetServerTest, PooledShardFailureIsNamedAndConnectionSurvives) {
+  // A full multiply fans its four shards out on the kernel pool; a shard
+  // that fails to load there must come back as a named error reply, and
+  // the connection must keep serving the healthy shards afterwards.
+  DenseMatrix dense = TestDense();
+  std::string dir = ScratchPath("pooled_shard_failure");
+  ShardManifest manifest =
+      MatrixStore::Partition(dense, "gcm:re_iv?blocks=2", {.shards = 4}, dir);
+  std::vector<double> x = RandomVector(dense.cols(), 97);
+  // The oracle maps every shard before the corruption; the rewrite below
+  // replaces the file by rename, so this mapping keeps the healthy bytes.
+  AnyMatrix oracle = MatrixStore::Open(dir, ShardLoadMode::kEager);
+  const std::vector<double> want = oracle.MultiplyRight(x);
+
+  AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
+  ASSERT_EQ(ShardedMatrix::FromKernel(m.kernel())->LoadedShardCount(), 0u);
+  const std::string victim =
+      (std::filesystem::path(dir) / manifest.shards[2].file).string();
+  std::vector<u8> bytes = ReadFileBytes(victim);
+  bytes[bytes.size() / 2] ^= 0x40;
+  WriteFileBytes(victim, bytes);
+
+  TestServer ts(m);
+  Client client = ts.Connect();
+  Client::Response failed = client.Await(client.SendMvmRight(x));
+  ASSERT_EQ(failed.type, MsgType::kError);
+  EXPECT_EQ(failed.error, NetError::kInternal);
+  EXPECT_NE(failed.message.find("shard file " + victim), std::string::npos)
+      << failed.message;
+
+  const ShardManifestEntry& healthy = manifest.shards[1];
+  std::vector<double> slice =
+      client.MvmRight(x, healthy.row_begin, healthy.row_end);
+  ASSERT_EQ(slice.size(), healthy.row_end - healthy.row_begin);
+  for (std::size_t r = 0; r < slice.size(); ++r) {
+    EXPECT_EQ(slice[r], want[healthy.row_begin + r]) << "row " << r;
+  }
+}
+
 // --------------------------------------------------------------------------
 // Concurrent mixed workload (the tsan preset runs this with race detection)
 // --------------------------------------------------------------------------
@@ -514,10 +554,11 @@ TEST(NetServerTest, ResidencyLimitBoundsTheWorkingSet) {
 TEST(NetServerTest, ConcurrentMixedWorkloadServesEveryoneCorrectly) {
   DenseMatrix dense = TestDense();
   AnyMatrix m = AnyMatrix::Build(dense, "sharded?inner=csr&shards=3");
-  // kernel_threads = 2 exercises the pooled shard scatter under serving
-  // concurrency; the sharded kernels are bitwise pool-invariant, so the
-  // oracle assertions still hold exactly.
-  TestServer ts(m, ServerConfig{.kernel_threads = 2});
+  // Every server runs its kernels on the process kernel pool, so this
+  // exercises the pooled shard scatter under serving concurrency; the
+  // sharded kernels are bitwise pool-invariant, so the oracle assertions
+  // still hold exactly.
+  TestServer ts(m);
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kRequests = 25;
   std::vector<std::thread> workers;

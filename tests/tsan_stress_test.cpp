@@ -8,7 +8,9 @@
 //     including pooled row-range multiplies that touch part of the store,
 //   * many threads first-touching a lazily opened store at once (the
 //     double-checked per-shard load under ShardState::mu),
-//   * nested pooled builds hammering ParallelFor's shared claim counter.
+//   * nested pooled builds hammering ParallelFor's shared claim counter,
+//   * two Servers whose dispatchers fan requests out on the one
+//     process-wide kernel pool at the same time.
 //
 // The assertions also hold in plain builds -- results must stay bitwise
 // equal to the dense oracle under every interleaving -- so the suite runs
@@ -22,6 +24,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +34,8 @@
 #include "core/build_context.hpp"
 #include "core/gc_matrix.hpp"
 #include "matrix/dense_matrix.hpp"
+#include "net/client.hpp"
+#include "net/server.hpp"
 #include "serving/matrix_store.hpp"
 #include "serving/sharded_matrix.hpp"
 #include "test_paths.hpp"
@@ -293,6 +298,86 @@ TEST(TsanStressTest, NestedPooledBuildsShareOneClaimCounterSafely) {
   for (std::size_t i = 0; i < kBuilds; ++i) {
     EXPECT_EQ(bytes[i], reference.CompressedBytes()) << "build " << i;
   }
+}
+
+TEST(TsanStressTest, ServersShareTheKernelPool) {
+  // Two servers over one lazily opened grammar store: both dispatchers run
+  // ParallelFor on the shared kernel pool concurrently, racing the
+  // first-touch shard loads too. Each reply must equal the sequential
+  // local call bitwise, since pooled kernels are pool-invariant.
+  DenseMatrix dense = StressMatrix();
+  std::string dir = ScratchPath("servers_share_pool");
+  MatrixStore::Partition(dense, "gcm:re_iv?blocks=2", {.shards = 4}, dir);
+  AnyMatrix m = MatrixStore::Open(dir, ShardLoadMode::kLazy);
+  constexpr std::size_t kRangeBegin = 10;
+  constexpr std::size_t kRangeEnd = 70;
+
+  std::vector<std::unique_ptr<Server>> servers;
+  for (int s = 0; s < 2; ++s) {
+    servers.push_back(std::make_unique<Server>(
+        m, ServerConfig{.host = "127.0.0.1", .port = 0}));
+    servers.back()->Start();
+  }
+
+  enum class Kind { kRight, kLeft, kRange };
+  constexpr std::size_t kDepth = 4;
+  constexpr std::size_t kRounds = 5;
+  std::atomic<int> mismatches{0};
+  std::vector<std::string> errors(6);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < 6; ++c) {
+    clients.emplace_back([&, c] {
+      const Server& server = *servers[c % 2];
+      const Kind kind = static_cast<Kind>(c / 2);
+      try {
+        Client client = Client::Connect("127.0.0.1", server.port());
+        for (std::size_t round = 0; round < kRounds; ++round) {
+          std::vector<std::vector<double>> inputs;
+          std::vector<u64> ids;
+          for (std::size_t j = 0; j < kDepth; ++j) {
+            u64 seed = 5000 + c * 100 + round * kDepth + j;
+            if (kind == Kind::kLeft) {
+              inputs.push_back(RandomVector(m.rows(), seed));
+              ids.push_back(client.SendMvmLeft(inputs.back()));
+            } else {
+              inputs.push_back(RandomVector(m.cols(), seed));
+              ids.push_back(kind == Kind::kRight
+                                ? client.SendMvmRight(inputs.back())
+                                : client.SendMvmRight(inputs.back(),
+                                                      kRangeBegin, kRangeEnd));
+            }
+          }
+          for (std::size_t j = 0; j < kDepth; ++j) {
+            Client::Response reply = client.Await(ids[j]);
+            if (reply.type != MsgType::kMvmReply) {
+              errors[c] = reply.message;
+              return;
+            }
+            std::vector<double> want;
+            if (kind == Kind::kLeft) {
+              want = m.MultiplyLeft(inputs[j]);
+            } else {
+              want = m.MultiplyRight(inputs[j]);
+              if (kind == Kind::kRange) {
+                want = std::vector<double>(
+                    want.begin() + kRangeBegin, want.begin() + kRangeEnd);
+              }
+            }
+            if (reply.values != want) mismatches.fetch_add(1);
+          }
+        }
+      } catch (const std::exception& e) {
+        errors[c] = e.what();
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (std::unique_ptr<Server>& server : servers) server->Stop();
+  EXPECT_EQ(mismatches.load(), 0);
+  for (std::size_t c = 0; c < errors.size(); ++c) {
+    EXPECT_EQ(errors[c], "") << "client " << c;
+  }
+  EXPECT_EQ(Sharded(m).LoadedShardCount(), Sharded(m).shard_count());
 }
 
 }  // namespace
