@@ -191,9 +191,9 @@ BENCHMARK(BM_MvmLeftReIv)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MvmLeftReAns)->Unit(benchmark::kMicrosecond);
 
 // Multi-vector kernels at k = 16 (the engine's MultiplyRightMulti): one
-// grammar expansion serves 16 vectors, so the kb-wide accumulate loops
-// (simd::Add / simd::Axpy) dominate -- these are the rows the SIMD gate
-// watches most closely.
+// grammar walk serves 16 vectors through k-wide simd::Add / simd::Axpy
+// loops. No request reaches them yet; the native kernel stays while these
+// rows show it costs less per vector than one single-vector multiply.
 constexpr std::size_t kMultiK = 16;
 
 DenseMatrix RandomDense(std::size_t rows, std::size_t cols, u64 seed) {
@@ -236,8 +236,7 @@ void BM_MvmLeftMulti16Re32(benchmark::State& state) {
 }
 BENCHMARK(BM_MvmLeftMulti16Re32)->Unit(benchmark::kMicrosecond);
 
-// Raw facade primitive: the peak the kb-wide kernels chase. The run name
-// carries the compiled backend so scalar and avx2 CSVs are tellable apart.
+// Raw primitive: the peak the k-wide kernels chase.
 void BM_SimdAxpy(benchmark::State& state) {
   constexpr std::size_t kN = 4096;
   std::vector<double> x = RandomVector(kN, 13);
@@ -250,7 +249,6 @@ void BM_SimdAxpy(benchmark::State& state) {
   state.SetBytesProcessed(
       state.iterations() *
       static_cast<benchmark::IterationCount>(2 * kN * sizeof(double)));
-  state.SetLabel(simd::BackendName());
 }
 BENCHMARK(BM_SimdAxpy);
 

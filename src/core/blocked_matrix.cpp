@@ -64,7 +64,10 @@ BlockedGcMatrix BlockedGcMatrix::FromCsrv(const CsrvMatrix& csrv,
   out.cols_ = csrv.cols();
   auto dict =
       std::make_shared<const std::vector<double>>(csrv.dictionary().ToVector());
-  std::vector<CsrvMatrix> parts = csrv.SplitRowBlocks(blocks);
+  // A matrix without rows keeps one empty block, as in Build.
+  std::vector<CsrvMatrix> parts = csrv.rows() == 0
+                                      ? std::vector<CsrvMatrix>{csrv}
+                                      : csrv.SplitRowBlocks(blocks);
   std::vector<std::optional<GcMatrix>> built(parts.size());
   MaybeParallelFor(ctx.pool, parts.size(), [&](std::size_t b) {
     built[b] = GcMatrix::FromSequence(parts[b].sequence().ToVector(),

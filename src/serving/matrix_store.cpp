@@ -21,10 +21,13 @@ namespace fs = std::filesystem;
 /// possibly shorter. Only the dimensions and row ranges are set.
 ShardManifest UniformLayout(std::size_t rows, std::size_t cols,
                             std::size_t per_shard) {
-  ShardManifest layout{.rows = rows, .cols = cols};
+  ShardManifest layout;
+  layout.rows = rows;
+  layout.cols = cols;
   for (std::size_t begin = 0; begin < rows; begin += per_shard) {
-    layout.shards.push_back(
-        {.row_begin = begin, .row_end = std::min(rows, begin + per_shard)});
+    ShardManifestEntry& shard = layout.shards.emplace_back();
+    shard.row_begin = begin;
+    shard.row_end = std::min(rows, begin + per_shard);
   }
   return layout;
 }

@@ -12,8 +12,8 @@
 //    matrices multiplying bitwise like re_32 through build, snapshot and
 //    mapped load.
 //
-// Runs under the `simd_kernel_smoke` and `mmap_serving_smoke` CTest labels,
-// so the scalar-SIMD and sanitizer CI jobs run it explicitly.
+// Runs under the `mmap_serving_smoke` CTest label, so the sanitizer CI jobs
+// run it explicitly.
 
 #include <gtest/gtest.h>
 

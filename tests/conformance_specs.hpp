@@ -1,7 +1,6 @@
 // The conformance spec list: every registered engine spec plus variants
-// exercising the parameter grammar. Shared between the engine conformance
-// suite (engine_test.cpp) and the SIMD equivalence suite (simd_test.cpp)
-// so a spec added here is automatically covered by both.
+// exercising the parameter grammar. Shared by the suites that run an
+// oracle over every spec, so a spec added here is covered by all of them.
 #pragma once
 
 #include <gtest/gtest.h>

@@ -1,7 +1,8 @@
 // Conformance suite for the AnyMatrix engine API: every registered spec
 // (plus parameterized variants) must build, report sane metadata, agree
-// with the dense oracle on both multiplications (pool and no-pool), and
-// enforce the *Into size / aliasing preconditions. Also covers the spec
+// with the dense oracle on both multiplications (pool and no-pool),
+// enforce the *Into size / aliasing preconditions, and multiply bitwise
+// alike when reloaded from its snapshot. Also covers the spec
 // parser, the name round-trips shared with the CLI flags, the AdviseFormat
 // engine overload, and a pool reaching one unblocked GcMatrix (bitwise the
 // sequential scan).
@@ -44,7 +45,7 @@ DenseMatrix TestMatrix() {
 }
 
 // ConformanceSpecs() / SpecTestName() live in tests/conformance_specs.hpp,
-// shared with the SIMD equivalence suite.
+// shared with the mapped-load suite.
 
 class EngineConformanceTest : public ::testing::TestWithParam<std::string> {};
 
@@ -226,6 +227,56 @@ INSTANTIATE_TEST_SUITE_P(AllSpecs, EngineConformanceTest,
                          SpecTestName);
 
 // --------------------------------------------------------------------------
+// Loaded = built: a matrix reloaded from its snapshot multiplies bitwise
+// like the matrix it was saved from, sequential, pooled and multi-vector.
+// The suite and test names predate the deletion of the AVX2 backend, when
+// these tests compared vector and forced-scalar runs; the primitives now
+// have one implementation, and the names are kept.
+// --------------------------------------------------------------------------
+
+class SimdKernelEqualityTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    built_ = AnyMatrix::Build(TestMatrix(), GetParam());
+    loaded_ = AnyMatrix::LoadSnapshotBytes(built_.SaveSnapshotBytes());
+  }
+  AnyMatrix built_;
+  AnyMatrix loaded_;
+};
+
+TEST_P(SimdKernelEqualityTest, KernelsBitwiseEqualUnderForcedScalar) {
+  Rng rng(21);
+  std::vector<double> x = RandomVector(built_.cols(), &rng);
+  std::vector<double> y = RandomVector(built_.rows(), &rng);
+  EXPECT_EQ(loaded_.MultiplyRight(x), built_.MultiplyRight(x));
+  EXPECT_EQ(loaded_.MultiplyLeft(y), built_.MultiplyLeft(y));
+  EXPECT_EQ(loaded_.ToDense(), built_.ToDense());
+}
+
+TEST_P(SimdKernelEqualityTest, PooledKernelsBitwiseEqualUnderForcedScalar) {
+  ThreadPool pool(2);
+  MulContext ctx{&pool};
+  Rng rng(23);
+  std::vector<double> x = RandomVector(built_.cols(), &rng);
+  std::vector<double> y = RandomVector(built_.rows(), &rng);
+  EXPECT_EQ(loaded_.MultiplyRight(x, ctx), built_.MultiplyRight(x, ctx));
+  EXPECT_EQ(loaded_.MultiplyLeft(y, ctx), built_.MultiplyLeft(y, ctx));
+}
+
+TEST_P(SimdKernelEqualityTest, MultiKernelsBitwiseEqualUnderForcedScalar) {
+  Rng rng(2442);
+  const std::size_t k = 5;
+  DenseMatrix xr = DenseMatrix::Random(built_.cols(), k, 1.0, 0, &rng);
+  DenseMatrix xl = DenseMatrix::Random(k, built_.rows(), 1.0, 0, &rng);
+  EXPECT_EQ(loaded_.MultiplyRightMulti(xr), built_.MultiplyRightMulti(xr));
+  EXPECT_EQ(loaded_.MultiplyLeftMulti(xl), built_.MultiplyLeftMulti(xl));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSpecs, SimdKernelEqualityTest,
+                         ::testing::ValuesIn(ConformanceSpecs()),
+                         SpecTestName);
+
+// --------------------------------------------------------------------------
 // Spec parser
 // --------------------------------------------------------------------------
 
@@ -254,11 +305,11 @@ TEST(MatrixSpecTest, ParsesByteSizes) {
   EXPECT_EQ(MatrixSpec::Parse("auto?budget=17179869183GiB")
                 .GetBytes("budget", 0),
             17179869183ULL << 30);
-  for (const char* spec : {"sharded?target_bytes=17179869184GiB",
+  for (const char* text : {"sharded?target_bytes=17179869184GiB",
                            "auto?budget=17179869185GiB",
                            "auto?budget=18446744073709552KB"}) {
-    SCOPED_TRACE(spec);
-    MatrixSpec parsed = MatrixSpec::Parse(spec);
+    SCOPED_TRACE(text);
+    MatrixSpec parsed = MatrixSpec::Parse(text);
     const std::string key = parsed.params.begin()->first;
     try {
       parsed.GetBytes(key, 0);
@@ -434,6 +485,27 @@ TEST(AnyMatrixTest, TripletBuildMatchesDenseBuild) {
         AnyMatrix::Build(dense.rows(), dense.cols(), triplets, spec);
     EXPECT_EQ(m.rows(), dense.rows()) << spec;
     EXPECT_EQ(DenseMatrix::MaxAbsDiff(m.ToDense(), dense), 0.0) << spec;
+  }
+}
+
+// A matrix without rows: the triplet build of a blocked spec makes one
+// empty block, as the dense build does, so it keeps its variant and its
+// snapshot reloads.
+TEST(AnyMatrixTest, ZeroRowTripletBuildMatchesDenseBuild) {
+  DenseMatrix dense(0, 5);
+  for (const std::string& spec :
+       {std::string("gcm:re_ans?blocks=2"), std::string("gcm:re_32?blocks=3"),
+        std::string("gcm:re_iv")}) {
+    SCOPED_TRACE(spec);
+    AnyMatrix from_dense = AnyMatrix::Build(dense, spec);
+    AnyMatrix from_triplets = AnyMatrix::Build(0, 5, {}, spec);
+    EXPECT_EQ(from_triplets.FormatTag(), from_dense.FormatTag());
+    AnyMatrix reloaded =
+        AnyMatrix::LoadSnapshotBytes(from_triplets.SaveSnapshotBytes());
+    EXPECT_EQ(reloaded.FormatTag(), from_dense.FormatTag());
+    EXPECT_EQ(reloaded.rows(), 0u);
+    EXPECT_EQ(reloaded.cols(), 5u);
+    EXPECT_EQ(reloaded.MultiplyLeft({}), std::vector<double>(5, 0.0));
   }
 }
 

@@ -268,7 +268,7 @@ TEST(NetProtocolTest, RequestTypeClassification) {
   EXPECT_FALSE(IsKnownType(12345));
   // The version-2 handshake and health types (requests 5, 6; replies 68,
   // 69) are gone; their numbers are not reused.
-  for (u16 retired : {5, 6, 68, 69}) {
+  for (u16 retired : {u16{5}, u16{6}, u16{68}, u16{69}}) {
     EXPECT_FALSE(IsKnownType(retired)) << retired;
   }
 }

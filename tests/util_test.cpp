@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstddef>
+#include <limits>
 #include <set>
 #include <vector>
 
 #include "util/cli.hpp"
 #include "util/common.hpp"
+#include "util/fast_div.hpp"
 #include "util/format.hpp"
 #include "util/memory_tracker.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gcm {
@@ -211,6 +216,86 @@ TEST(FormatTest, Bytes) {
 TEST(FormatTest, PercentAndSeconds) {
   EXPECT_EQ(FormatPercent(0.1234), "12.34%");
   EXPECT_EQ(FormatSeconds(1.5), "1.500 s");
+}
+
+TEST(FastDivTest, DivideAndModMatchHardwareAcrossRanges) {
+  const u32 divisors[] = {1u,     2u,        3u,          5u,    7u,
+                          10u,    13u,       16u,         100u,  1000u,
+                          65535u, 65536u,    1u << 20,    (1u << 31) - 1,
+                          1u << 31, 0xfffffffeu, 0xffffffffu};
+  Rng rng(13);
+  for (u32 d : divisors) {
+    U32Divisor div(d);
+    EXPECT_EQ(div.divisor(), d);
+    std::vector<u32> numerators = {0u, 1u, d - 1, d, d + 1, d * 2,
+                                   (1u << 31) - 1, 1u << 31, 0xffffffffu};
+    for (int i = 0; i < 64; ++i) {
+      numerators.push_back(static_cast<u32>(rng.Next()));
+    }
+    for (u32 n : numerators) {
+      EXPECT_EQ(div.Divide(n), n / d) << "n=" << n << " d=" << d;
+      EXPECT_EQ(div.Mod(n), n % d) << "n=" << n << " d=" << d;
+    }
+  }
+}
+
+// The kernel primitives against hand-computed values at every length
+// 0..9: the first n elements change, the rest are untouched. All inputs
+// are dyadic, so the expected sums and products are exact. The suite and
+// test names predate the deletion of the AVX2 backend, when the portable
+// loops were the reference a second implementation was compared with.
+constexpr std::array<double, 10> kSimdBase = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+constexpr std::array<double, 10> kSimdA = {0.5, -1,  0.25, 8,     -0.5,
+                                           3,   1.5, -2,   0.125, 4};
+
+TEST(SimdFacadeTest, BackendNameMatchesCompileTimeSelection) {
+  EXPECT_STREQ(simd::BackendName(), "portable");
+}
+
+TEST(SimdFacadeTest, AddMatchesPortableBitwise) {
+  // kSimdBase + kSimdA.
+  constexpr std::array<double, 10> kWant = {1.5, 1,   3.25, 12,    4.5,
+                                            9,   8.5, 6,    9.125, 14};
+  for (std::size_t n = 0; n <= 9; ++n) {
+    std::array<double, 10> out = kSimdBase;
+    simd::Add(out.data(), kSimdA.data(), n);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], i < n ? kWant[i] : kSimdBase[i]) << n << " @" << i;
+    }
+  }
+}
+
+TEST(SimdFacadeTest, AxpyMatchesPortableBitwise) {
+  // kSimdBase + (-2) * kSimdA.
+  constexpr std::array<double, 10> kWant = {0, 4, 2.5, -12, 6,
+                                            0, 4, 12,  8.75, 2};
+  for (std::size_t n = 0; n <= 9; ++n) {
+    std::array<double, 10> out = kSimdBase;
+    simd::Axpy(out.data(), -2.0, kSimdA.data(), n);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], i < n ? kWant[i] : kSimdBase[i]) << n << " @" << i;
+    }
+  }
+}
+
+TEST(SimdFacadeTest, AnyNonZeroMatchesPortableIncludingNaN) {
+  // Zeros of either sign are not nonzero; NaN and 1 are; element n, one
+  // past the range, does not count.
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t n = 0; n <= 9; ++n) {
+    std::array<double, 10> p{};
+    p[n] = 1.0;
+    EXPECT_FALSE(simd::AnyNonZero(p.data(), n)) << n;
+    for (std::size_t hot = 0; hot < n; ++hot) {
+      p[hot] = -0.0;
+      EXPECT_FALSE(simd::AnyNonZero(p.data(), n)) << n << " @" << hot;
+      p[hot] = kNan;
+      EXPECT_TRUE(simd::AnyNonZero(p.data(), n)) << n << " @" << hot;
+      p[hot] = 1.0;
+      EXPECT_TRUE(simd::AnyNonZero(p.data(), n)) << n << " @" << hot;
+      p[hot] = 0.0;
+    }
+  }
 }
 
 }  // namespace
